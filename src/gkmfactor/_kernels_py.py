@@ -10,7 +10,10 @@ The reduced echelon basis kept by :class:`IntRREF` is canonical: each
 stored row is primitive (content 1), has a positive pivot entry, and
 contains no other pivot column.  Two IntRREF instances fed the same row
 space therefore hold identical rows, which makes every downstream
-result backend and insertion-order independent.
+result backend and insertion-order independent.  Because no stored row
+touches another pivot's column, a row's residual over Q is unique, so
+:meth:`IntRREF.reduce` clears every pivot it hits in one scaled pass
+and strips content once.
 """
 
 from __future__ import annotations
@@ -64,19 +67,32 @@ class IntRREF:
         return len(self.pivots)
 
     def reduce(self, row):
-        """Residual of ``row`` modulo the current row space (new dict)."""
-        r = dict(row)
+        """Residual of ``row`` modulo the current row space (new dict).
+
+        The primitive, positively scaled Q-residual when ``row`` hits a
+        pivot; otherwise an unchanged copy of ``row``.
+        """
         pivots = self.pivots
-        hit = sorted(c for c in r if c in pivots)
-        for c in hit:
-            v = r.get(c)
-            if not v:
-                continue
+        hit = [(c, v) for c, v in row.items() if c in pivots]
+        if not hit:
+            return dict(row)
+        # Smallest positive scale that makes every pivot multiple integral.
+        scale = 1
+        for c, v in hit:
+            a = pivots[c][c]
+            q = a // gcd(a, v)
+            scale = scale * q // gcd(scale, q)
+        r = {c: scale * v for c, v in row.items()} if scale > 1 else dict(row)
+        for c, v in hit:
             p = pivots[c]
-            a = p[c]
-            g = gcd(a, v)
-            r = combine(a // g, r, -(v // g), p)
-        return r
+            f = scale * v // p[c]
+            for k, w in p.items():
+                x = r.get(k, 0) - f * w
+                if x:
+                    r[k] = x
+                else:
+                    del r[k]
+        return strip_content(r)
 
     def add(self, row):
         """Insert a row; return its pivot column, or None if dependent.
@@ -119,11 +135,17 @@ class IntRREF:
         column order.
         """
         piv = self.pivots
+        # Free column -> (pivot column, row) pairs, pivots ascending.
+        touching: dict = {}
+        for c, row in sorted(piv.items()):
+            for f in row:
+                if f != c:
+                    touching.setdefault(f, []).append((c, row))
         basis = []
         for f in range(ncols):
             if f in piv:
                 continue
-            entries = [(c, row) for c, row in sorted(piv.items()) if f in row]
+            entries = touching.get(f, ())
             scale = 1
             for c, row in entries:
                 d = row[c]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -438,11 +439,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that take a coweight, which may be a coordinate vector.
+_COORDINATE_OPTIONS = frozenset(
+    {"--weight", "--vertex", "--coweight", "--highest", "--lambda", "--mu"}
+)
+_NEGATIVE_VECTOR = re.compile(r"-\d+(,-?\d+)*")
+
+
+def _attach_negative_vectors(argv) -> list:
+    """Rewrite ``--weight -1,0,1`` as ``--weight=-1,0,1``.
+
+    argparse reads a separate value with a leading minus as an option, so
+    a coordinate vector such as ``-1,0,1`` is attached to its option.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _COORDINATE_OPTIONS and _NEGATIVE_VECTOR.fullmatch(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_vectors(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "eta" and not args.series and (args.type is None or args.rank is None):

@@ -19,6 +19,18 @@ incrementally: processing a vertex solves only the congruences along
 its own upward edges against the current basis, so the expensive global
 elimination is never redone from scratch.
 
+Each vertex step is the fibre product
+``Gamma(I + {x}) = Gamma(I) x_{M_x} F(x)`` (Braden-MacPherson, *From
+moment graphs to intersection cohomology*, Math. Ann. 2001; Fiebig,
+*Sheaves on moment graphs and a localization of Verma flags*, Adv. Math.
+2008).  Its kernel is solved with the slots of the new stalk ``F(x)``
+ordered before the old sections.  Because ``F(x) -> M_x`` is onto, every
+pivot lands on an ``x`` slot, so each new basis vector is either one old
+section, scaled by a positive integer and extended by a component at
+``x``, or a section supported at ``x`` alone.  Old section vectors are
+shared between steps and never mutated; the nested dicts are only
+shallow-copied or, for a coefficient other than one, rescaled.
+
 Degree bounds.  Generator degrees of a stalk are bounded by half the
 complex dimension of the truncation (stalk cohomology sits strictly
 below the dimension), so the default bound is
@@ -32,7 +44,8 @@ always stability-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb
+from types import MappingProxyType
 
 from . import kernels
 from . import rootsystem as rsys
@@ -87,15 +100,19 @@ class _Layout:
         return block
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnResult:
-    """Stalk data for one truncation column."""
+    """Stalk data for one truncation column.
+
+    Immutable, since :func:`stalk_ranks` hands cached results to every
+    caller: ``ranks`` and ``profiles`` are read-only mapping views.
+    """
 
     graph: MomentGraph
     degree_bound: int
     order: tuple[Vec, ...]
-    ranks: dict
-    profiles: dict
+    ranks: MappingProxyType
+    profiles: MappingProxyType
     section_dims: tuple[int, ...]
 
     def rank_at(self, v: Vec) -> int:
@@ -178,19 +195,6 @@ def _project_nested(vec, ydict, reducers, blayout):
                 elif slot in out:
                     del out[slot]
     return out
-
-
-def _strip_nested(vec) -> None:
-    g = 0
-    for sub in vec.values():
-        for c in sub.values():
-            g = gcd(g, c)
-            if g == 1:
-                return
-    if g > 1:
-        for sub in vec.values():
-            for k in sub:
-                sub[k] //= g
 
 
 def _mult_var(row, var, prev_layout, cur_layout, reducers):
@@ -324,10 +328,13 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                 if d >= t:
                     for exp in monomials(n, d - t):
                         xslots.append((gi, exp))
+            # The x slots come first, so every pivot lands on one (see the
+            # module docstring); old section i is column nx + i.
+            nx = len(xslots)
             rows: dict = {}
             for i, srow in enumerate(spans[d]):
                 for bslot, c in srow.items():
-                    rows.setdefault(bslot, {})[i] = -c
+                    rows.setdefault(bslot, {})[nx + i] = -c
             for local, (gi, exp) in enumerate(xslots):
                 for pos, (k, e, y) in enumerate(upedges):
                     comp = st.edge_maps.get((k, gi))
@@ -342,41 +349,40 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         for pexp, c in prod.items():
                             bslot = index[pexp]
                             row = rows.setdefault(bslot, {})
-                            w = row.get(m + local, 0) + c
+                            w = row.get(local, 0) + c
                             if w:
-                                row[m + local] = w
-                            elif m + local in row:
-                                del row[m + local]
-            kern = kernels.nullspace_of_rows(rows.values(), m + len(xslots))
+                                row[local] = w
+                            elif local in row:
+                                del row[local]
+            kern = kernels.nullspace_of_rows(rows.values(), nx + m)
 
             new_basis = []
             for kvec in kern:
-                items = sorted(kvec.items())
-                if len(items) == 1 and items[0][1] == 1 and items[0][0] < m:
-                    new_basis.append(bases[d][items[0][0]])
-                    continue
-                out: dict = {}
+                old = None
                 xsub: dict = {}
-                for col, c in items:
-                    if col < m:
-                        for vk, sub in bases[d][col].items():
-                            tgt = out.get(vk)
-                            if tgt is None:
-                                tgt = {}
-                                out[vk] = tgt
-                            for key, v in sub.items():
-                                w = tgt.get(key, 0) + c * v
-                                if w:
-                                    tgt[key] = w
-                                elif key in tgt:
-                                    del tgt[key]
+                for col, c in kvec.items():
+                    if col < nx:
+                        xsub[xslots[col]] = c
+                    elif old is None:
+                        old, coef = bases[d][col - nx], c
                     else:
-                        xsub[xslots[col - m]] = c
-                if xsub:
-                    out[x] = xsub
-                for vk in [k for k, sub in out.items() if not sub]:
-                    del out[vk]
-                _strip_nested(out)
+                        raise AssertionError(
+                            f"kernel vector at {x} in degree {d} touches two "
+                            "old sections; phi is not onto the boundary module"
+                        )
+                if not xsub:
+                    new_basis.append(old)
+                    continue
+                if old is None:
+                    out = {}
+                elif coef == 1:
+                    out = dict(old)
+                else:
+                    out = {
+                        vk: {key: coef * v for key, v in sub.items()}
+                        for vk, sub in old.items()
+                    }
+                out[x] = xsub
                 new_basis.append(out)
             bases[d] = new_basis
 
@@ -393,8 +399,8 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         graph=g,
         degree_bound=D,
         order=tuple(order),
-        ranks=ranks,
-        profiles=profiles,
+        ranks=MappingProxyType(ranks),
+        profiles=MappingProxyType(profiles),
         section_dims=section_dims,
     )
 

@@ -119,3 +119,58 @@ def test_threads_flag_accepted():
     assert code == 0
     _, seq = capture(["eta", "--series", "all", "--max-rank", "3", "--csv"])
     assert out == seq
+
+
+# Coordinate vectors with a leading minus after each coweight option.
+# A dominant coweight never leads with a minus in these realizations, so
+# the --highest, --lambda and --coweight cases end in exit 1 with a
+# message, which must not depend on the form either.
+NEGATIVE_VECTOR_COMMANDS = [
+    ["mult", "--type", "A", "--rank", "2", "--highest", "theta", "--weight", "-1,0,1", "--q"],
+    ["mult", "--type", "A", "--rank", "2", "--highest", "-1,0,1", "--weight", "zero"],
+    ["stalks", "--type", "A", "--rank", "2", "--coweight", "theta", "--vertex", "-1,1,0", "--json"],
+    ["graph", "--type", "A", "--rank", "1", "--coweight", "-1,1", "--format", "json"],
+    [
+        "tensor-dim", "--type", "A", "--rank", "2", "--lambda", "theta",
+        "--mu", "theta", "--weight", "-1,-1,2", "--json",
+    ],
+    [
+        "tensor-dim", "--type", "A", "--rank", "2", "--lambda", "theta",
+        "--mu", "-1,0,1", "--weight", "zero",
+    ],
+    [
+        "transition", "--type", "A", "--rank", "2", "--lambda", "-1,0,1",
+        "--mu", "omega1*", "--weight", "zero", "--json",
+    ],
+    [
+        "transition", "--type", "A", "--rank", "2", "--lambda", "omega1",
+        "--mu", "omega1*", "--weight", "-1,1,0", "--json",
+    ],
+]
+COORDINATE_OPTIONS = {"--weight", "--vertex", "--coweight", "--highest", "--lambda", "--mu"}
+
+
+def equals_form(argv):
+    """``argv`` with every negative coordinate vector attached by ``=``."""
+    joined = []
+    for tok in argv:
+        if joined and joined[-1] in COORDINATE_OPTIONS and tok.startswith("-"):
+            joined[-1] = f"{joined[-1]}={tok}"
+        else:
+            joined.append(tok)
+    return joined
+
+
+@pytest.mark.parametrize(
+    "argv", NEGATIVE_VECTOR_COMMANDS,
+    ids=lambda a: a[0] + [t for t in equals_form(a) if "=" in t][0],
+)
+def test_negative_vector_space_form_matches_equals_form(argv, capsys):
+    # ``--weight -1,0,1`` must not be read as an unknown flag (exit 2).
+    joined = equals_form(argv)
+    assert joined != argv
+    spaced = capture(argv) + (capsys.readouterr().err,)
+    assert spaced == capture(joined) + (capsys.readouterr().err,)
+    code, out, err = spaced
+    assert code in (0, 1)
+    assert out if code == 0 else "must be dominant" in err

@@ -7,10 +7,12 @@ not just at the worked values.
 """
 
 import random
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import pytest
 
+from gkmfactor import kernels
 from gkmfactor import rootsystem as rsys
 from gkmfactor.momentgraph import Truncation, build_graph
 from gkmfactor.stalks import (
@@ -308,3 +310,83 @@ def test_section_dims_match_public_path():
     upper = [v for v in g.vertices if any(v)]
     secs = section_space(g, upper, free_stalk_assignment(upper), col.degree_bound)
     assert tuple(secs.dimension(d) for d in range(col.degree_bound + 1)) == col.section_dims
+
+
+def test_cached_column_is_read_only():
+    # stalk_ranks hands the cached result to every caller, so a caller's
+    # write must fail instead of corrupting later lookups.
+    rs = rsys.build("A", 2)
+    tr = Truncation(rs, rs.highest_root)
+    zero = rsys.zero_vec(rs)
+    col = stalk_ranks(tr)
+    with pytest.raises(TypeError):
+        col.ranks[zero] = 99
+    with pytest.raises(TypeError):
+        col.profiles[zero] = (0,)
+    with pytest.raises(FrozenInstanceError):
+        col.ranks = {}
+    assert stalk_ranks(tr) is col
+    assert multiplicity_matrix(tr).column_at(zero) == {rs.highest_root: 2, zero: 1}
+
+
+def _coweight(rs, name):
+    if name.startswith("2"):
+        return tuple(2 * x for x in rsys.resolve_coweight(rs, name[1:]))
+    return rsys.resolve_coweight(rs, name)
+
+
+# Degree bound, section_dims, vertex count and every generator profile
+# other than (0,) of the benchmark's adjoint-columns truncations.  The
+# values were recorded from an engine that assembled each new section as
+# a full nested combination, so they check the x-first extension step
+# against an independent route.
+GOLDEN_COLUMNS = {
+    ("A", 3, "theta"): (4, (1, 6, 21, 55, 119), 13, {(0, 0, 0, 0): (0, 1, 2)}),
+    ("A", 4, "theta"): (5, (1, 7, 28, 84, 209, 454), 21, {(0, 0, 0, 0, 0): (0, 1, 2, 3)}),
+    ("A", 2, "2theta"): (5, (1, 5, 16, 38, 76, 134), 19, {
+        (-1, 0, 1): (0, 1), (-1, 1, 0): (0, 1), (0, -1, 1): (0, 1),
+        (0, 0, 0): (0, 1, 2), (0, 1, -1): (0, 1), (1, -1, 0): (0, 1),
+        (1, 0, -1): (0, 1),
+    }),
+    ("A", 3, "2omega1"): (4, (1, 5, 16, 40, 85), 10, {}),
+    ("A", 4, "2omega1"): (5, (1, 6, 22, 62, 148, 313), 15, {}),
+    ("A", 4, "omega2"): (4, (1, 6, 22, 62, 147), 10, {}),
+}
+
+
+@pytest.mark.parametrize("t,l,name", sorted(GOLDEN_COLUMNS), ids=lambda x: str(x))
+def test_engine_golden_columns(t, l, name):
+    bound, dims, count, special = GOLDEN_COLUMNS[(t, l, name)]
+    rs = rsys.build(t, l)
+    col = stalk_ranks(Truncation(rs, _coweight(rs, name)))
+    assert col.degree_bound == bound
+    assert col.section_dims == dims
+    assert len(col.profiles) == count
+    assert set(col.profiles) == set(col.graph.vertices)
+    for v, profile in col.profiles.items():
+        assert profile == special.get(v, (0,)), v
+        assert col.ranks[v] == len(profile)
+
+
+@pytest.mark.parametrize("t,l,name", [("A", 3, "theta"), ("A", 2, "2theta")])
+def test_golden_columns_under_random_extensions(t, l, name):
+    # The x-first extension step must not depend on the default order.
+    rs = rsys.build(t, l)
+    tr = Truncation(rs, _coweight(rs, name))
+    base = stalk_ranks(tr)
+    for seed in (101, 202):
+        ext = base.graph.linear_extension(random.Random(seed))
+        assert ext != list(base.order)
+        res = run_column(base.graph, base.degree_bound, extension=ext)
+        assert res.ranks == base.ranks
+        assert res.profiles == base.profiles
+        assert res.section_dims == base.section_dims
+
+
+def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
+    # With the x slots first, a kernel vector that combines two old
+    # sections means F(x) -> M_x was not onto; the step must not go on.
+    rs, g = adjoint_graph("A", 2)
+    monkeypatch.setattr(kernels, "nullspace_of_rows", lambda rows, ncols: [{ncols - 2: 1, ncols - 1: 1}])
+    with pytest.raises(AssertionError, match="two old sections"):
+        run_column(g, 3)
