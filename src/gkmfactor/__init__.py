@@ -4,28 +4,21 @@ under GKM congruences, weight multiplicities, transition-matrix blocks
 and geometric-efficiency bounds.
 
 All arithmetic is exact (Python integers and fractions); the sparse
-elimination hot path runs on a compiled kernel when available and falls
-back to pure Python otherwise (see :mod:`gkmfactor.kernels`).
+elimination hot path runs on one pure Python integer kernel (see
+:mod:`gkmfactor.kernels`).
 """
 
-from .kernels import BACKEND
-from .linalg import ExactMatrix, Rational, nullspace_basis, rref
 from .momentgraph import (
     MomentGraph,
     Truncation,
     build_graph,
     export_graph,
     import_graph,
-    order_predecessors,
 )
-from .poly import GradedPolySpace, divisibility_conditions, graded_minimal_generators
 from .rootsystem import RootSystem, build, resolve_coweight
 from .stalks import (
     MultiplicityMatrix,
-    boundary_module,
     multiplicity_matrix,
-    section_space,
-    stalk_rank,
     stalk_ranks,
 )
 from .transition import TransitionBundle, build_A, build_Q, compose_C, transition_bundle, verify_bundle
@@ -40,34 +33,22 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "ExactMatrix",
-    "GradedPolySpace",
     "MomentGraph",
     "MultiplicityMatrix",
     "QPolynomial",
-    "Rational",
     "RootSystem",
     "TransitionBundle",
     "Truncation",
-    "boundary_module",
     "build",
     "build_A",
     "build_Q",
     "build_graph",
     "compose_C",
-    "divisibility_conditions",
     "export_graph",
-    "graded_minimal_generators",
     "import_graph",
     "kostant_partition",
     "multiplicity_matrix",
-    "nullspace_basis",
-    "order_predecessors",
     "resolve_coweight",
-    "rref",
-    "section_space",
-    "stalk_rank",
     "stalk_ranks",
     "tensor_decompose",
     "tensor_weight_dim",

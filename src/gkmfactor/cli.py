@@ -311,13 +311,15 @@ def cmd_eta(args, out):
 
 
 def _eta_series(args):
-    if args.threads > 1:
+    specs = [("A", l) for l in range(1, args.max_rank + 1)]
+    specs += [("D", l) for l in range(3, args.max_rank + 1)]
+    specs += [("E", 6), ("E", 7), ("E", 8)]
+    # More workers than cores or rows only adds processes.
+    workers = min(args.threads, os.cpu_count() or 1, len(specs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        specs = [("A", l) for l in range(1, args.max_rank + 1)]
-        specs += [("D", l) for l in range(3, args.max_rank + 1)]
-        specs += [("E", 6), ("E", 7), ("E", 8)]
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(
                     _series_worker,
@@ -355,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("GKMFACTOR_THREADS", "1")),
+        # A string default goes through type=int, so a bad value exits 2.
+        default=os.environ.get("GKMFACTOR_THREADS", "1"),
         help="worker processes for the eta series report (other commands run sequentially)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -469,7 +472,6 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if args.command == "eta" and not args.series and (args.type is None or args.rank is None):
-        parser.error_handled = True
         sys.stderr.write("error: eta needs either --series all or both --type and --rank\n")
         return 2
     try:
@@ -479,6 +481,10 @@ def run(argv, out=None) -> int:
         return 2
     except (ValueError, KeyError, SystemSizeError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except (AssertionError, MemoryError) as exc:
+        # A broken internal invariant or an exhausted heap.
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 
 

@@ -1,40 +1,17 @@
-"""Kernel backend selection.
+"""The exact integer elimination kernel, as the package looks it up.
 
-The compiled kernel (``gkmfactor._speedups``, built from Cython) is
-preferred; the pure Python kernel is the fallback.  Set the environment
-variable ``GKMFACTOR_PURE=1`` to force the pure backend, e.g. for the
-benchmark or to reproduce results without a compiler.
-
-Both backends implement the same canonical reduced echelon form, so
-every result is identical bit for bit regardless of the backend.
+The implementation lives in :mod:`gkmfactor._kernels_py`; this module
+only re-exports it.  Callers reach these names through this module at
+call time (``kernels.IntRREF()``, ``kernels.nullspace_of_rows(...)``),
+so a profiler can replace them here, as ``perfbench/tracing.py``
+replaces ``kernels.IntRREF`` with a counting subclass.  The
+implementation's own calls stay unaffected: ``rank_of_rows`` and
+``nullspace_of_rows`` keep building the plain ``IntRREF`` of
+``_kernels_py``, so none of their rows is counted twice.
 """
 
 from __future__ import annotations
 
-import os
+from ._kernels_py import BACKEND, IntRREF, nullspace_of_rows, rank_of_rows
 
-if os.environ.get("GKMFACTOR_PURE"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
-
-BACKEND: str = _impl.BACKEND
-IntRREF = _impl.IntRREF
-strip_content = _impl.strip_content
-combine = _impl.combine
-echelon = _impl.echelon
-rank_of_rows = _impl.rank_of_rows
-nullspace_of_rows = _impl.nullspace_of_rows
-
-__all__ = [
-    "BACKEND",
-    "IntRREF",
-    "strip_content",
-    "combine",
-    "echelon",
-    "rank_of_rows",
-    "nullspace_of_rows",
-]
+__all__ = ["BACKEND", "IntRREF", "nullspace_of_rows", "rank_of_rows"]

@@ -1,195 +1,23 @@
-"""Exact rational matrices.
+"""Exact rank of rational matrices.
 
-Entries are :class:`fractions.Fraction` (always reduced, positive
-denominator, arithmetic exact).  Storage is chosen at construction:
-matrices with density below 10% keep a dict-of-rows sparse layout,
-denser ones a list-of-lists dense layout.  Elimination clears
-denominators row by row and runs on the integer kernel backend, so rref
-and nullspace results are exact and backend independent.
+Each row is scaled by the least common multiple of its entries'
+denominators, which leaves the rank over Q unchanged, and the integer
+rows go to the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import kernels
 
-Rational = Fraction
 
-SPARSE_DENSITY_CUTOFF = 0.10
-
-
-class ExactMatrix:
-    """A rows x cols matrix over Q with exact arithmetic."""
-
-    __slots__ = ("rows", "cols", "_dense", "_sparse")
-
-    def __init__(self, rows: int, cols: int, entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
-        if entries is None:
-            entries = {}
-        if isinstance(entries, dict):
-            data = {
-                (i, j): Fraction(v)
-                for (i, j), v in entries.items()
-                if v
-            }
-        else:
-            data = {}
-            for i, row in enumerate(entries):
-                for j, v in enumerate(row):
-                    if v:
-                        data[(i, j)] = Fraction(v)
-        for (i, j) in data:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-        total = rows * cols
-        if total and len(data) / total >= SPARSE_DENSITY_CUTOFF:
-            dense = [[Fraction(0)] * cols for _ in range(rows)]
-            for (i, j), v in data.items():
-                dense[i][j] = v
-            self._dense = dense
-            self._sparse = None
-        else:
-            sparse: dict[int, dict[int, Fraction]] = {}
-            for (i, j), v in data.items():
-                sparse.setdefault(i, {})[j] = v
-            self._dense = None
-            self._sparse = sparse
-
-    @classmethod
-    def from_rows(cls, rows_data) -> "ExactMatrix":
-        rows_data = [list(r) for r in rows_data]
-        nrows = len(rows_data)
-        ncols = len(rows_data[0]) if rows_data else 0
-        for r in rows_data:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls(nrows, ncols, rows_data)
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @property
-    def layout(self) -> str:
-        return "dense" if self._dense is not None else "sparse"
-
-    @property
-    def density(self) -> float:
-        total = self.rows * self.cols
-        return (self.nnz / total) if total else 0.0
-
-    @property
-    def nnz(self) -> int:
-        if self._dense is not None:
-            return sum(1 for row in self._dense for v in row if v)
-        return sum(len(r) for r in self._sparse.values())
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if self._dense is not None:
-            return self._dense[i][j]
-        return self._sparse.get(i, {}).get(j, Fraction(0))
-
-    def iter_row(self, i: int):
-        """Yield (col, value) for the nonzero entries of row i, col ascending."""
-        if self._dense is not None:
-            for j, v in enumerate(self._dense[i]):
-                if v:
-                    yield j, v
-        else:
-            row = self._sparse.get(i, {})
-            for j in sorted(row):
-                yield j, row[j]
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            self.entry(i, j) == other.entry(i, j)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self._items()))))
-
-    def _items(self):
-        for i in range(self.rows):
-            for j, v in self.iter_row(i):
-                yield (i, j), v
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        entries: dict[tuple[int, int], Fraction] = {}
-        other_rows = [list(other.iter_row(k)) for k in range(other.rows)]
-        for i in range(self.rows):
-            acc: dict[int, Fraction] = {}
-            for k, v in self.iter_row(i):
-                for j, w in other_rows[k]:
-                    acc[j] = acc.get(j, Fraction(0)) + v * w
-            for j, v in acc.items():
-                if v:
-                    entries[(i, j)] = v
-        return ExactMatrix(self.rows, other.cols, entries)
-
-    def _int_rows(self) -> list[dict]:
-        out = []
-        for i in range(self.rows):
-            denom = 1
-            items = list(self.iter_row(i))
-            for _, v in items:
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-            row = {j: int(v * denom) for j, v in items}
-            out.append(kernels.strip_content(row))
-        return out
-
-    def rref(self) -> tuple["ExactMatrix", int]:
-        """Reduced row echelon form over Q and the rank.
-
-        Pivot entries are normalized to 1; zero rows sit at the bottom,
-        so the result has the same shape and rref is idempotent.
-        """
-        rr = kernels.echelon(self._int_rows())
-        entries: dict[tuple[int, int], Fraction] = {}
-        for i, (col, row) in enumerate(rr.pivot_items()):
-            lead = row[col]
-            for j, v in row.items():
-                entries[(i, j)] = Fraction(v, lead)
-        return ExactMatrix(self.rows, self.cols, entries), rr.rank
-
-    def rank(self) -> int:
-        return kernels.rank_of_rows(self._int_rows())
-
-    def nullspace_basis(self) -> list[tuple[Fraction, ...]]:
-        """Primitive integer vectors spanning the right kernel."""
-        vecs = kernels.nullspace_of_rows(self._int_rows(), self.cols)
-        return [
-            tuple(Fraction(v.get(j, 0)) for j in range(self.cols))
-            for v in vecs
-        ]
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, {self.layout}, nnz={self.nnz})"
-
-
-def rref(m: ExactMatrix) -> tuple[ExactMatrix, int]:
-    """Reduced row echelon form and rank of ``m``."""
-    return m.rref()
-
-
-def nullspace_basis(m: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of ``m``."""
-    return m.nullspace_basis()
+def rank(rows) -> int:
+    """Rank over Q of a sequence of rows of ints or Fractions."""
+    int_rows = []
+    for r in rows:
+        fr = [Fraction(x) for x in r]
+        denom = lcm(*(x.denominator for x in fr))
+        int_rows.append({j: int(x * denom) for j, x in enumerate(fr) if x})
+    return kernels.rank_of_rows(int_rows)

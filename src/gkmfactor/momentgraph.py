@@ -193,21 +193,6 @@ def gkm_violations(g: MomentGraph) -> list:
     return out
 
 
-def order_predecessors(g: MomentGraph, x: Vec) -> list[Edge]:
-    """Edges joining ``x`` to vertices strictly above it in the order."""
-    if x not in g.vindex:
-        raise ValueError(f"vertex {x} not in the graph")
-    xi = g.vindex[x]
-    out = []
-    for k in g.adjacency[xi]:
-        e = g.edges[k]
-        other = e.v if e.u == xi else e.u
-        ov = g.vertices[other]
-        if g.order_leq(x, ov) and ov != x:
-            out.append(e)
-    return out
-
-
 def export_graph(g: MomentGraph, fmt: str) -> str:
     """Serialize to ``dot`` or ``json``.
 

@@ -1,4 +1,4 @@
-"""Graded multivariate polynomial spaces over exact rationals.
+"""Homogeneous polynomials and their reduction modulo a linear form.
 
 Homogeneous polynomials are sparse dicts mapping an exponent tuple to an
 integer (or Fraction) coefficient.  Degree-d components are coordinatized
@@ -13,13 +13,8 @@ kernels and images of these maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
-
-from . import kernels
-from .linalg import ExactMatrix
+from math import gcd
 
 
 @lru_cache(maxsize=None)
@@ -37,23 +32,9 @@ def monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def monomial_index(num_vars: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(monomials(num_vars, degree))}
-
-
-@lru_cache(maxsize=None)
 def reduced_monomials(num_vars: int, degree: int, pivot: int) -> tuple[tuple[int, ...], ...]:
     """Monomials with zero exponent at ``pivot``: a basis of S/(L) in degree d."""
     return tuple(m for m in monomials(num_vars, degree) if m[pivot] == 0)
-
-
-@lru_cache(maxsize=None)
-def reduced_monomial_index(num_vars: int, degree: int, pivot: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(reduced_monomials(num_vars, degree, pivot))}
-
-
-def monomial_count(num_vars: int, degree: int) -> int:
-    return comb(degree + num_vars - 1, num_vars - 1)
 
 
 def poly_mul(p: dict, q: dict) -> dict:
@@ -68,33 +49,6 @@ def poly_mul(p: dict, q: dict) -> dict:
             elif e in out:
                 del out[e]
     return out
-
-
-@dataclass(frozen=True)
-class GradedPolySpace:
-    """Polynomial ring in ``num_vars`` variables truncated at ``degree_bound``.
-
-    For the moment-graph application the variables are the rank-many
-    finite torus directions plus the loop direction delta; nothing here
-    depends on that reading.
-    """
-
-    num_vars: int
-    degree_bound: int
-
-    def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("need at least one variable")
-        if self.degree_bound < 0:
-            raise ValueError("degree bound must be non-negative")
-
-    def monomial_basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
-        if not 0 <= degree <= self.degree_bound:
-            raise ValueError(f"degree {degree} outside [0, {self.degree_bound}]")
-        return monomials(self.num_vars, degree)
-
-    def dim(self, degree: int) -> int:
-        return monomial_count(self.num_vars, degree)
 
 
 def form_is_zero(form) -> bool:
@@ -227,106 +181,3 @@ def reducer_for(form, num_vars: int) -> LinearFormReducer:
         red = LinearFormReducer(form, num_vars)
         _REDUCERS[key] = red
     return red
-
-
-def divisibility_conditions(space: GradedPolySpace, degree: int, form) -> ExactMatrix:
-    """Linear conditions cutting out the degree-d multiples of a linear form.
-
-    Rows are indexed by the pivot-free monomials of degree ``degree``,
-    columns by the full monomial basis; the kernel of the returned
-    matrix is exactly the coefficient space of polynomials divisible by
-    ``form``.  Raises on the zero form (the congruence is ill posed).
-    """
-    form = tuple(form)
-    if form_is_zero(form):
-        raise ValueError("divisibility modulo the zero form is ill posed")
-    if degree > space.degree_bound:
-        raise ValueError("degree exceeds the space's bound")
-    n = space.num_vars
-    red = reducer_for(form, n)
-    cols = monomials(n, degree)
-    ridx = reduced_monomial_index(n, degree, red.pivot)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for j, exp in enumerate(cols):
-        for m, c in red.reduce_monomial(exp).items():
-            entries[(ridx[m], j)] = Fraction(c)
-    return ExactMatrix(len(ridx), len(cols), entries)
-
-
-class ClosureViolation(ValueError):
-    """A per-degree family of subspaces is not closed under the variables."""
-
-
-def graded_minimal_generators(per_degree_bases, num_vars: int) -> list[int]:
-    """Minimal generator counts of a graded submodule given by bases.
-
-    ``per_degree_bases[d]`` is a sequence of coefficient vectors over the
-    degree-d monomial basis.  The module must be closed under
-    multiplication by the variables up to the top listed degree; a
-    product that leaves the given subspace raises :class:`ClosureViolation`.
-    Generators in degree d are counted by graded Nakayama:
-    ``dim B_d - dim(S_1 * B_{d-1})``.
-    """
-
-    def to_int_row(vec) -> dict:
-        vals = [Fraction(v) for v in vec]
-        denom = 1
-        for v in vals:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        row = {}
-        for j, v in enumerate(vals):
-            w = v * denom
-            if w:
-                row[j] = int(w)
-        return kernels.strip_content(row)
-
-    def shift_rows(row: dict, d: int) -> list[dict]:
-        src = monomials(num_vars, d)
-        tgt = monomial_index(num_vars, d + 1)
-        out = []
-        for i in range(num_vars):
-            new: dict = {}
-            for j, c in row.items():
-                e = list(src[j])
-                e[i] += 1
-                new[tgt[tuple(e)]] = c
-            out.append(new)
-        return out
-
-    top = len(per_degree_bases) - 1
-    bases_rr = []
-    for d, basis in enumerate(per_degree_bases):
-        rr = kernels.IntRREF()
-        for vec in basis:
-            rr.add(to_int_row(vec))
-        bases_rr.append(rr)
-
-    counts = []
-    prev_rows: list[dict] = []
-    for d, rr in enumerate(bases_rr):
-        prod_rr = kernels.IntRREF()
-        for row in prev_rows:
-            for shifted in shift_rows(row, d - 1):
-                if rr.reduce(shifted):
-                    raise ClosureViolation(
-                        f"a degree-{d - 1} element times a variable leaves the degree-{d} subspace"
-                    )
-                prod_rr.add(shifted)
-        counts.append(rr.rank - prod_rr.rank)
-        prev_rows = [row for _, row in rr.pivot_items()]
-        if d == top:
-            break
-    return counts
-
-
-def generators_stable(per_degree_bases, num_vars: int) -> bool:
-    """Whether the generator profile has settled below the top degree.
-
-    True when no minimal generator appears in the last two listed
-    degrees, the same window the stalk engine enforces before reporting
-    a rank.
-    """
-    counts = graded_minimal_generators(per_degree_bases, num_vars)
-    if len(counts) < 2:
-        return False
-    return counts[-1] == 0 and counts[-2] == 0

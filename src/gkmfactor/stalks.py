@@ -13,8 +13,8 @@ graph is built top down along a linear extension of the graph order:
   dimension at the maximal graded ideal, by graded Nakayama) is the
   stalk rank.
 
-Everything is computed degree by degree in exact integer arithmetic on
-the kernel backend.  The per-degree section bases are maintained
+Everything is computed degree by degree in exact integer arithmetic
+(:mod:`gkmfactor.kernels`).  The per-degree section bases are maintained
 incrementally: processing a vertex solves only the congruences along
 its own upward edges against the current basis, so the expensive global
 elimination is never redone from scratch.
@@ -133,35 +133,6 @@ def estimated_cells(g: MomentGraph, D: int | None = None) -> tuple[int, int]:
         D = default_degree_bound(g)
     n = g.num_vars
     return len(g.vertices) * comb(D + n - 1, n - 1), D
-
-
-def _project_basis(vec, layout, ydict, reducers, blayout):
-    """Boundary value of one flat section vector: per upward edge the
-    upper components reduced modulo the edge label."""
-    polys: dict = {}
-    info = layout.info
-    for slot, c in vec.items():
-        key, j, exp = info[slot]
-        if key in ydict:
-            polys.setdefault((key, j), {})[exp] = c
-    out: dict = {}
-    for (y, j), poly_dict in polys.items():
-        pos = ydict[y]
-        red = reducers[pos].reduce_poly(poly_dict)
-        if not red:
-            continue
-        block = blayout.lookup.get((pos, j))
-        if block is None:
-            continue
-        index = block[2]
-        for exp, c in red.items():
-            slot = index[exp]
-            w = out.get(slot, 0) + c
-            if w:
-                out[slot] = w
-            elif slot in out:
-                del out[slot]
-    return out
 
 
 def _project_nested(vec, ydict, reducers, blayout):
@@ -501,223 +472,3 @@ def multiplicity_matrix(tr: Truncation, D: int | None = None) -> MultiplicityMat
         column = stalk_ranks(Truncation(tr.rs, alpha), D=D)
         entries.append(tuple(column.ranks.get(b, 0) for b in cols))
     return MultiplicityMatrix(rows, cols, tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# Standalone section/boundary operations on explicit free stalk data.
-# The recursion above builds restriction maps as it goes; these entry
-# points cover the common hand-checkable case of free stalks with
-# coordinate-wise restriction, and are cross-checked against the engine.
-
-
-@dataclass
-class GradedSectionSpace:
-    """Per-degree bases of edge-compatible tuples over an upper set."""
-
-    graph: MomentGraph
-    vertices: tuple[Vec, ...]
-    stalk_degrees: dict
-    degree_bound: int
-    layouts: list
-    bases: list
-
-    def dimension(self, d: int) -> int:
-        return len(self.bases[d])
-
-    def internal_edges(self):
-        vs = set(self.vertices)
-        for e in self.graph.edges:
-            u, v = self.graph.vertices[e.u], self.graph.vertices[e.v]
-            if u in vs and v in vs:
-                yield e, u, v
-
-    def verify_congruences(self) -> bool:
-        """Re-check every basis element against every internal edge."""
-        n = self.graph.num_vars
-        for d in range(self.degree_bound + 1):
-            layout = self.layouts[d]
-            for vec in self.bases[d]:
-                for e, u, v in self.internal_edges():
-                    red = reducer_for(e.label, n)
-                    diff: dict = {}
-                    for key, sign in ((u, 1), (v, -1)):
-                        for j, t in enumerate(self.stalk_degrees[key]):
-                            block = layout.lookup.get((key, j))
-                            if block is None:
-                                continue
-                            offset, monos, _ = block
-                            for i, exp in enumerate(monos):
-                                c = vec.get(offset + i)
-                                if c:
-                                    diff[(j, exp)] = diff.get((j, exp), 0) + sign * c
-                    by_gen: dict = {}
-                    for (j, exp), c in diff.items():
-                        by_gen.setdefault(j, {})[exp] = c
-                    for p in by_gen.values():
-                        if red.reduce_poly(p):
-                            return False
-        return True
-
-
-def free_stalk_assignment(vertices, degrees=(0,)) -> dict:
-    return {tuple(v): tuple(degrees) for v in vertices}
-
-
-def section_space(g: MomentGraph, upper, stalks: dict, D: int) -> GradedSectionSpace:
-    """Sections of a free-stalk assignment over an upward-closed set.
-
-    Congruences are imposed generator-wise, which requires equal
-    generator degree lists across every internal edge (the general
-    constructed maps live in the recursion engine).  Raises if ``upper``
-    is not upward closed or a vertex has no stalk.
-    """
-    upper = [tuple(v) for v in upper]
-    uset = set(upper)
-    for v in upper:
-        for w in g.vertices:
-            if w != v and g.order_leq(v, w) and w not in uset:
-                raise ValueError(f"upper set is not upward closed: missing {w}")
-        if v not in stalks:
-            raise ValueError(f"vertex {v} has no assigned stalk")
-    n = g.num_vars
-    layouts = []
-    bases = []
-    internal = []
-    for e in g.edges:
-        u, v = g.vertices[e.u], g.vertices[e.v]
-        if u in uset and v in uset:
-            if tuple(stalks[u]) != tuple(stalks[v]):
-                raise ValueError(
-                    "generator-wise congruences need matching degree lists "
-                    f"across the edge {u} -- {v}"
-                )
-            internal.append((e, u, v))
-    ordered = sorted(upper, key=lambda v: (g.level(v), v), reverse=True)
-    for d in range(D + 1):
-        layout = _Layout()
-        for v in ordered:
-            for j, t in enumerate(stalks[v]):
-                if d >= t:
-                    layout.add_block(v, j, monomials(n, d - t))
-        rows: dict = {}
-        for e, u, v in internal:
-            red = reducer_for(e.label, n)
-            for j, t in enumerate(stalks[u]):
-                if d < t:
-                    continue
-                rindex = {m: i for i, m in enumerate(reduced_monomials(n, d - t, red.pivot))}
-                for key, sign in ((u, 1), (v, -1)):
-                    block = layout.lookup[(key, j)]
-                    offset, monos, _ = block
-                    for i, exp in enumerate(monos):
-                        for rexp, c in red.reduce_monomial(exp).items():
-                            rkey = (id(e), j, rindex[rexp])
-                            row = rows.setdefault(rkey, {})
-                            w = row.get(offset + i, 0) + sign * c
-                            if w:
-                                row[offset + i] = w
-                            elif offset + i in row:
-                                del row[offset + i]
-        kern = kernels.nullspace_of_rows(rows.values(), layout.total)
-        layouts.append(layout)
-        bases.append(kern)
-    return GradedSectionSpace(
-        graph=g,
-        vertices=tuple(ordered),
-        stalk_degrees={v: tuple(stalks[v]) for v in upper},
-        degree_bound=D,
-        layouts=layouts,
-        bases=bases,
-    )
-
-
-@dataclass
-class BoundaryModule:
-    """Image of a section space on the edges into a vertex from above."""
-
-    vertex: Vec
-    edges: tuple
-    degree_bound: int
-    layouts: list
-    bases: list
-
-    def dimension(self, d: int) -> int:
-        return len(self.bases[d])
-
-
-def boundary_module(g: MomentGraph, x, sections: GradedSectionSpace) -> BoundaryModule:
-    """Restrict sections to the edges joining ``x`` to the section set,
-    reducing each component modulo its edge label."""
-    x = tuple(x)
-    if x in set(sections.vertices):
-        raise ValueError("the vertex must lie below the section set")
-    xi = g.vindex[x]
-    upedges = []
-    for k in sorted(g.adjacency[xi]):
-        e = g.edges[k]
-        other = g.vertices[e.v if e.u == xi else e.u]
-        if other in set(sections.vertices):
-            upedges.append((k, e, other))
-    if not upedges:
-        if x == g.lam:
-            raise ValueError("the top vertex has no boundary module")
-        raise RecursionOrderError(f"vertex {x} has no edges into the section set")
-    n = g.num_vars
-    reducers = [reducer_for(e.label, n) for _, e, _ in upedges]
-    ydict = {y: pos for pos, (_, _, y) in enumerate(upedges)}
-    stalk_list = {y: sections.stalk_degrees[y] for _, _, y in upedges}
-    blayouts = []
-    bases = []
-    for d in range(sections.degree_bound + 1):
-        bl = _Layout()
-        for pos, (_, _, y) in enumerate(upedges):
-            pivot = reducers[pos].pivot
-            for j, t in enumerate(stalk_list[y]):
-                if d >= t:
-                    bl.add_block(pos, j, reduced_monomials(n, d - t, pivot))
-        rr = kernels.IntRREF()
-        for vec in sections.bases[d]:
-            row = _project_basis(vec, sections.layouts[d], ydict, reducers, bl)
-            rr.add(row)
-        blayouts.append(bl)
-        bases.append([row for _, row in rr.pivot_items()])
-    return BoundaryModule(
-        vertex=x,
-        edges=tuple(e for _, e, _ in upedges),
-        degree_bound=sections.degree_bound,
-        layouts=blayouts,
-        bases=bases,
-    )
-
-
-def stalk_rank(g: MomentGraph, x, sections: GradedSectionSpace):
-    """Stalk rank at ``x`` from a precomputed section space: the number
-    of minimal generators of the boundary module (graded Nakayama),
-    with the generator-degree profile.
-
-    Raises :class:`DegreeBoundError` when the profile is not stable in
-    the last two degrees of the section space's bound.
-    """
-    bm = boundary_module(g, x, sections)
-    n = g.num_vars
-    reducers = [reducer_for(e.label, n) for e in bm.edges]
-    D = bm.degree_bound
-    profile = []
-    prev_rows: list[dict] = []
-    for d in range(D + 1):
-        rr = kernels.IntRREF()
-        for b in prev_rows:
-            for i in range(n):
-                rr.add(_mult_var(b, i, bm.layouts[d - 1], bm.layouts[d], reducers))
-        count = 0
-        for s in bm.bases[d]:
-            if rr.add(s) is not None:
-                count += 1
-        profile.extend([d] * count)
-        prev_rows = [row for _, row in rr.pivot_items()]
-    if any(d >= D - 1 for d in profile):
-        raise DegreeBoundError(
-            f"generator profile {profile} touches degrees {D - 1}..{D}; "
-            "recompute the sections with a larger degree bound"
-        )
-    return len(profile), tuple(profile)

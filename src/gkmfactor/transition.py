@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from . import kernels
+from . import linalg
 from . import rootsystem as rsys
 from .momentgraph import MomentGraph, Truncation, build_graph
 from .rootsystem import RootSystem, Vec
@@ -178,21 +177,10 @@ class TransitionBundle:
     checks: list[CheckResult]
 
     def c_rank(self) -> int:
-        return _rank(self.c_block)
+        return linalg.rank(self.c_block)
 
     def m_rank(self) -> int:
-        return _rank(self.m_block)
-
-
-def _rank(rows) -> int:
-    int_rows = []
-    for r in rows:
-        denom = 1
-        fr = [Fraction(x) for x in r]
-        for x in fr:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        int_rows.append({j: int(x * denom) for j, x in enumerate(fr) if x})
-    return kernels.rank_of_rows(int_rows)
+        return linalg.rank(self.m_block)
 
 
 def compose_C(p_diag, m_block, a: SpecializationMatrix, q: EulerDiagonal):
@@ -320,8 +308,8 @@ def verify_bundle(bundle: TransitionBundle) -> list[CheckResult]:
         )
     )
 
-    rank_c = _rank(c) if c else 0
-    rank_m = _rank(m) if m else 0
+    rank_c = linalg.rank(c) if c else 0
+    rank_m = linalg.rank(m) if m else 0
     ok_rank = rank_c <= rank_m
     detail = f"rank(C)={rank_c} <= rank(M)={rank_m}"
     is_adjoint_zero = (

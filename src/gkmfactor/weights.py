@@ -214,14 +214,6 @@ def kostant_weight_table(lam: Vec, rs: RootSystem) -> dict[Vec, int]:
     }
 
 
-def weight_table(lam: Vec, rs: RootSystem, method: str = "freudenthal") -> dict[Vec, int]:
-    if method == "freudenthal":
-        return freudenthal_weight_table(lam, rs)
-    if method == "kostant":
-        return kostant_weight_table(lam, rs)
-    raise ValueError(f"unknown weight table method {method!r}")
-
-
 def tensor_weight_dim(lam: Vec, mu: Vec, nu: Vec, rs: RootSystem) -> int:
     """Dimension of the ``nu`` weight space of V_lam (x) V_mu."""
     ta = freudenthal_weight_table(lam, rs)

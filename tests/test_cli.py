@@ -2,11 +2,13 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from gkmfactor import cli
 from gkmfactor.cli import run
 
 COMMANDS = [
@@ -119,6 +121,72 @@ def test_threads_flag_accepted():
     assert code == 0
     _, seq = capture(["eta", "--series", "all", "--max-rank", "3", "--csv"])
     assert out == seq
+
+
+@pytest.fixture
+def pool_requests(monkeypatch):
+    """Worker counts asked of ProcessPoolExecutor, which is replaced by
+    an in-process map, so no worker is ever started."""
+    import concurrent.futures
+
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return requested
+
+
+@pytest.mark.parametrize(
+    "threads,cpus,workers",
+    # --max-rank 2 gives 5 series rows: A1, A2, E6, E7, E8.
+    [(100000, 4, [4]), (100000, 64, [5]), (3, 64, [3]), (100000, None, [])],
+)
+def test_eta_series_worker_count_capped(monkeypatch, pool_requests, threads, cpus, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["eta", "--series", "all", "--max-rank", "2", "--csv"]
+    code, out = capture(["--threads", str(threads)] + argv)
+    assert code == 0
+    assert pool_requests == workers
+    assert out == capture(argv)[1]
+
+
+def test_eta_series_env_thread_count_capped(monkeypatch, pool_requests):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("GKMFACTOR_THREADS", "100000")
+    assert capture(["eta", "--series", "all", "--max-rank", "2"])[0] == 0
+    assert pool_requests == [2]
+
+
+def test_bad_threads_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("GKMFACTOR_THREADS", "abc")
+    code, out = capture(["roots", "--type", "A", "--rank", "1"])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid int value: 'abc'" in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError("invariant broken"), MemoryError()])
+def test_internal_error_exits_1_without_traceback(monkeypatch, capsys, exc):
+    def broken(args, out):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_roots", broken)
+    code, out = capture(["roots", "--type", "A", "--rank", "1"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 # Coordinate vectors with a leading minus after each coweight option.

@@ -11,7 +11,6 @@ from gkmfactor.momentgraph import (
     export_graph,
     gkm_violations,
     import_graph,
-    order_predecessors,
 )
 from gkmfactor.poly import primitive_form
 
@@ -133,18 +132,6 @@ def test_order_sanity():
         if v != zero:
             assert g.order_leq(zero, v) and not g.order_leq(v, zero)
         assert g.order_leq(v, rs.highest_root)
-
-
-def test_order_predecessors():
-    rs1 = rsys.build("A", 1)
-    g1 = build_graph(Truncation(rs1, rs1.highest_root))
-    assert order_predecessors(g1, rs1.highest_root) == []
-    assert len(order_predecessors(g1, (0, 0))) == 2
-    rs2 = rsys.build("A", 2)
-    g2 = build_graph(Truncation(rs2, rs2.highest_root))
-    assert len(order_predecessors(g2, rsys.zero_vec(rs2))) == 6
-    with pytest.raises(ValueError):
-        order_predecessors(g2, (9, 9, 9))
 
 
 def test_every_edge_is_oriented_by_the_order():

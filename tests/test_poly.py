@@ -1,21 +1,18 @@
-"""Monomial bases, divisibility conditions, graded generator counts."""
+"""Monomial bases and reduction modulo a linear form."""
 
-from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gkmfactor.linalg import nullspace_basis
+from gkmfactor import kernels
 from gkmfactor.poly import (
-    ClosureViolation,
-    GradedPolySpace,
-    divisibility_conditions,
-    generators_stable,
-    graded_minimal_generators,
-    monomial_index,
+    LinearFormReducer,
     monomials,
+    poly_mul,
+    reduced_monomials,
+    reducer_for,
 )
 
 
@@ -25,44 +22,43 @@ def test_monomial_counts():
             assert len(monomials(n, d)) == comb(d + n - 1, n - 1)
 
 
-def test_space_validates():
-    space = GradedPolySpace(3, 5)
-    assert space.dim(4) == comb(4 + 2, 2)
-    with pytest.raises(ValueError):
-        space.monomial_basis(6)
-    with pytest.raises(ValueError):
-        GradedPolySpace(0, 3)
+def divisible_basis(form, d):
+    """Kernel of the degree-d reduction modulo ``form``, as coefficient
+    vectors over ``monomials(n, d)``: the degree-d multiples of the form."""
+    n = len(form)
+    red = LinearFormReducer(form)
+    row_of = {m: i for i, m in enumerate(reduced_monomials(n, d, red.pivot))}
+    rows = [{} for _ in row_of]
+    for j, exp in enumerate(monomials(n, d)):
+        for m, c in red.reduce_monomial(exp).items():
+            rows[row_of[m]][j] = c
+    return kernels.nullspace_of_rows(rows, len(monomials(n, d)))
 
 
 def test_divisible_constants_only_zero():
-    space = GradedPolySpace(1, 3)
-    m = divisibility_conditions(space, 0, (1,))
-    assert nullspace_basis(m) == []
+    assert divisible_basis((1,), 0) == []
 
 
 def test_divisibility_two_vars_degree_one():
     # p = a*x + b*y divisible by x - y iff a + b = 0.
-    space = GradedPolySpace(2, 3)
-    m = divisibility_conditions(space, 1, (1, -1))
-    basis = nullspace_basis(m)
+    basis = divisible_basis((1, -1), 1)
     assert len(basis) == 1
-    idx = monomial_index(2, 1)
+    idx = {m: i for i, m in enumerate(monomials(2, 1))}
     vec = basis[0]
-    assert vec[idx[(1, 0)]] + vec[idx[(0, 1)]] == 0
-    assert vec[idx[(1, 0)]] != 0
+    assert vec.get(idx[(1, 0)], 0) + vec.get(idx[(0, 1)], 0) == 0
+    assert vec.get(idx[(1, 0)], 0) != 0
 
 
 def test_degree_zero_always_trivial():
-    space = GradedPolySpace(3, 2)
     for form in [(1, 0, 0), (2, -1, 3)]:
-        m = divisibility_conditions(space, 0, form)
-        assert nullspace_basis(m) == []
+        assert divisible_basis(form, 0) == []
 
 
 def test_zero_form_rejected():
-    space = GradedPolySpace(2, 2)
     with pytest.raises(ValueError):
-        divisibility_conditions(space, 1, (0, 0))
+        LinearFormReducer((0, 0))
+    with pytest.raises(ValueError):
+        reducer_for((0, 0), 2)
 
 
 @given(
@@ -78,67 +74,11 @@ def test_zero_form_rejected():
 )
 def test_divisibility_kernel_dimension(case):
     # Multiplication by a nonzero linear form is injective, so the
-    # divisible subspace in degree d has the full degree-(d-1) dimension.
+    # divisible subspace in degree d has the full degree-(d-1) dimension,
+    # and every multiple of the form reduces to zero.
     n, d, form = case
-    space = GradedPolySpace(n, d)
-    m = divisibility_conditions(space, d, tuple(form))
-    assert len(nullspace_basis(m)) == comb(d - 1 + n - 1, n - 1)
-
-
-def unit_vectors(n, d):
-    basis = []
-    count = len(monomials(n, d))
-    for i in range(count):
-        vec = [0] * count
-        vec[i] = 1
-        basis.append(vec)
-    return basis
-
-
-def test_full_ring_single_generator():
-    n, top = 2, 3
-    bases = [unit_vectors(n, d) for d in range(top + 1)]
-    assert graded_minimal_generators(bases, n) == [1, 0, 0, 0]
-
-
-def test_maximal_ideal_generators():
-    for n in (1, 2, 3):
-        top = 3
-        bases = [[]] + [unit_vectors(n, d) for d in range(1, top + 1)]
-        counts = graded_minimal_generators(bases, n)
-        assert counts == [0, n, 0, 0]
-
-
-def test_principal_ideal_square():
-    # (x^2) in one variable: dimension 0,0,1,1,... so one degree-2 generator.
-    bases = [[], [], [[1]], [[1]], [[1]]]
-    assert graded_minimal_generators(bases, 1) == [0, 0, 1, 0, 0]
-
-
-def test_generator_stability_helper():
-    n, top = 1, 4
-    # (x^2): generators settle by degree 2, so degrees up to 4 are stable.
-    bases = [[], [], [[1]], [[1]], [[1]]]
-    assert generators_stable(bases, n)
-    # Truncating at the generator degree is not stable.
-    assert not generators_stable(bases[:3], n)
-    assert not generators_stable([[[1]]], n)
-
-
-def test_closure_violation_detected():
-    # Degree-1 span {x} with degree-2 span {y^2} is not closed under x*.
-    bases = [[], [[1, 0]], [[0, 0, 1]]]
-    with pytest.raises(ClosureViolation):
-        graded_minimal_generators(bases, 2)
-
-
-def test_generator_counts_basis_invariant():
-    # Mixing the degree bases by an invertible rational change keeps counts.
-    n, top = 2, 3
-    bases = [[]] + [unit_vectors(n, d) for d in range(1, top + 1)]
-    mixed = [list(b) for b in bases]
-    for d, basis in enumerate(mixed):
-        if len(basis) >= 2:
-            v = [a + Fraction(3, 2) * b for a, b in zip(basis[0], basis[1])]
-            basis[0] = v
-    assert graded_minimal_generators(mixed, n) == graded_minimal_generators(bases, n)
+    assert len(divisible_basis(tuple(form), d)) == comb(d - 1 + n - 1, n - 1)
+    red = LinearFormReducer(form)
+    L = {tuple(int(i == k) for i in range(n)): c for k, c in enumerate(form) if c}
+    p = {m: i + 1 for i, m in enumerate(monomials(n, d - 1))}
+    assert red.reduce_poly(poly_mul(L, p)) == {}

@@ -17,18 +17,15 @@ from gkmfactor import rootsystem as rsys
 from gkmfactor.momentgraph import Truncation, build_graph
 from gkmfactor.stalks import (
     DegreeBoundError,
-    boundary_module,
     default_degree_bound,
     estimated_cells,
-    free_stalk_assignment,
     multiplicity_matrix,
     run_column,
-    section_space,
-    stalk_rank,
     stalk_rank_at,
     stalk_ranks,
 )
 from gkmfactor.weights import weight_multiplicity
+from sections_oracle import free_stalk_assignment, section_space
 
 
 def adjoint_graph(t, l):
@@ -85,48 +82,6 @@ def test_section_space_validates_upper_set():
         section_space(g, [(0, 0)], free_stalk_assignment([(0, 0)]), 2)
     with pytest.raises(ValueError):
         section_space(g, [rs.highest_root], {}, 2)
-
-
-def test_boundary_module_a1_origin():
-    rs, g = adjoint_graph("A", 1)
-    upper = [rs.highest_root, tuple(-x for x in rs.highest_root)]
-    secs = section_space(g, upper, free_stalk_assignment(upper), 4)
-    bm = boundary_module(g, (0, 0), secs)
-    assert [bm.dimension(d) for d in range(5)] == [1, 2, 2, 2, 2]
-
-
-def test_boundary_single_predecessor_full_image():
-    rs, g = adjoint_graph("A", 1)
-    top = rs.highest_root
-    neg = tuple(-x for x in top)
-    secs = section_space(g, [top], free_stalk_assignment([top]), 3)
-    bm = boundary_module(g, neg, secs)
-    # One edge with label alpha: image is the full quotient ring slice.
-    assert [bm.dimension(d) for d in range(4)] == [1, 1, 1, 1]
-
-
-def test_boundary_top_guarded():
-    rs, g = adjoint_graph("A", 1)
-    top = rs.highest_root
-    secs = section_space(g, [top], {top: (0,)}, 2)
-    with pytest.raises(ValueError):
-        boundary_module(g, top, secs)
-
-
-def test_public_stalk_rank_a1():
-    rs, g = adjoint_graph("A", 1)
-    upper = [rs.highest_root, tuple(-x for x in rs.highest_root)]
-    secs = section_space(g, upper, free_stalk_assignment(upper), 4)
-    rank, profile = stalk_rank(g, (0, 0), secs)
-    assert (rank, profile) == (1, (0,))
-
-
-def test_public_stalk_rank_insufficient_bound():
-    rs, g = adjoint_graph("A", 2)
-    roots = [v for v in g.vertices if any(v)]
-    secs = section_space(g, roots, free_stalk_assignment(roots), 2)
-    with pytest.raises(DegreeBoundError):
-        stalk_rank(g, rsys.zero_vec(rs), secs)
 
 
 @pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3)])
