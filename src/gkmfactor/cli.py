@@ -16,20 +16,9 @@ import sys
 from fractions import Fraction
 
 from . import rootsystem as rsys
-from .efficiency import (
-    DEFAULT_CELL_CAP,
-    adjoint_record,
-    eta_graph,
-    eta_rep,
-    series_report,
-)
+from .efficiency import DEFAULT_CELL_CAP, adjoint_record, series_report, series_specs
 from .momentgraph import Truncation, build_graph, export_graph
-from .stalks import (
-    default_degree_bound,
-    estimated_cells,
-    multiplicity_matrix,
-    stalk_ranks,
-)
+from .stalks import estimated_cells, multiplicity_matrix, stalk_ranks
 from .suites import SUITES, run_suite
 from .transition import transition_bundle
 from .weights import tensor_weight_dim, weight_multiplicity
@@ -56,14 +45,16 @@ def _rs(args):
     return rsys.build(args.type, args.rank)
 
 
-def _guard_cells(graphs, args):
+def _guard_cells(truncations, args):
+    """Refuse before any graph is built when a column would be too large."""
     cap = args.max_cells
-    for g in graphs:
-        cells, bound = estimated_cells(g, getattr(args, "degree_bound", None))
+    for tr in truncations:
+        cells, bound = estimated_cells(tr)
         if cells > cap:
             raise SystemSizeError(
                 f"refusing: estimated {cells} coefficient cells at degree bound "
-                f"{bound} for {g!r} exceeds --max-cells {cap}"
+                f"{bound} for the {tr.rs.type_label}{tr.rs.rank} truncation at "
+                f"{list(tr.lam)} exceeds --max-cells {cap}"
             )
 
 
@@ -141,9 +132,9 @@ def cmd_graph(args, out):
 def cmd_stalks(args, out):
     rs = _rs(args)
     lam = rsys.resolve_coweight(rs, args.coweight)
-    g = build_graph(Truncation(rs, lam))
-    _guard_cells([g], args)
-    result = stalk_ranks(Truncation(rs, lam), D=args.degree_bound)
+    tr = Truncation(rs, lam)
+    _guard_cells([tr], args)
+    result = stalk_ranks(tr)
     if args.vertex:
         v = rsys.resolve_coweight(rs, args.vertex)
         if v not in result.ranks:
@@ -178,9 +169,9 @@ def cmd_stalks(args, out):
 def cmd_mmatrix(args, out):
     rs = _rs(args)
     lam = rsys.resolve_coweight(rs, args.coweight)
-    g = build_graph(Truncation(rs, lam))
-    _guard_cells([g], args)
-    m = multiplicity_matrix(Truncation(rs, lam), D=args.degree_bound)
+    tr = Truncation(rs, lam)
+    _guard_cells([tr], args)
+    m = multiplicity_matrix(tr)
     payload = {
         "type": rs.type_label,
         "rank": rs.rank,
@@ -204,10 +195,10 @@ def cmd_transition(args, out):
     mu = rsys.resolve_coweight(rs, args.mu)
     nu = rsys.resolve_coweight(rs, args.weight)
     total = tuple(a + b for a, b in zip(lam, mu))
-    graphs = [build_graph(Truncation(rs, v)) for v in
-              {a for a in Truncation(rs, total).vertex_set() if rsys.is_dominant(rs, a)}]
-    _guard_cells(graphs, args)
-    bundle = transition_bundle(rs, lam, mu, nu, D=args.degree_bound, euler=args.euler)
+    _guard_cells(
+        [Truncation(rs, a) for a in rsys.dominant_weights_of(rs, total)], args
+    )
+    bundle = transition_bundle(rs, lam, mu, nu, euler=args.euler)
     payload = {
         "type": rs.type_label,
         "rank": rs.rank,
@@ -266,21 +257,7 @@ def cmd_eta(args, out):
         elif args.csv:
             out.write(",".join(header) + "\n")
             for r in report.records:
-                out.write(
-                    ",".join(
-                        str(x)
-                        for x in [
-                            f"{r.type_label}{r.rank}",
-                            r.num_roots,
-                            r.geometric_rank,
-                            r.combinatorial_dim,
-                            r.eta,
-                            r.bound,
-                            r.numerator_source,
-                        ]
-                    )
-                    + "\n"
-                )
+                out.write(",".join(str(x) for x in r.row()) + "\n")
         else:
             for r in report.records:
                 out.write(
@@ -311,9 +288,7 @@ def cmd_eta(args, out):
 
 
 def _eta_series(args):
-    specs = [("A", l) for l in range(1, args.max_rank + 1)]
-    specs += [("D", l) for l in range(3, args.max_rank + 1)]
-    specs += [("E", 6), ("E", 7), ("E", 8)]
+    specs = series_specs(args.max_rank)
     # More workers than cores or rows only adds processes.
     workers = min(args.threads, os.cpu_count() or 1, len(specs))
     if workers > 1:
@@ -370,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cells(p):
         p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
                        help="refuse systems whose estimated coefficient cells exceed this")
-        p.add_argument("--degree-bound", type=int, default=None)
 
     p = sub.add_parser("roots", help="root datum summary")
     add_type_rank(p)

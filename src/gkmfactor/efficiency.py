@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rootsystem as rsys
-from .momentgraph import Truncation, build_graph
+from .momentgraph import Truncation
 from .rootsystem import RootSystem, Vec
-from .stalks import default_degree_bound, estimated_cells, stalk_ranks
+from .stalks import estimated_cells, stalk_ranks
 from .weights import tensor_weight_dim
 
 DEFAULT_CELL_CAP = 500_000
@@ -65,7 +65,6 @@ def eta_rep(
     lam: Vec,
     mu: Vec,
     rs: RootSystem,
-    D: int | None = None,
     numerator: str = "stalk",
 ) -> Fraction:
     """Stalk rank of the ``alpha`` class at ``nu`` over the tensor
@@ -85,7 +84,7 @@ def eta_rep(
             raise ValueError("the analytic numerator applies to the adjoint class at zero")
         num = rs.rank
     elif numerator == "stalk":
-        column = stalk_ranks(Truncation(rs, tuple(alpha)), D=D)
+        column = stalk_ranks(Truncation(rs, tuple(alpha)))
         if tuple(nu) not in column.ranks:
             raise ValueError(f"{nu} is not a vertex of the {alpha} truncation")
         num = column.ranks[tuple(nu)]
@@ -94,7 +93,7 @@ def eta_rep(
     return Fraction(num, denom)
 
 
-def eta_graph(alpha: Vec, nu: Vec, rs: RootSystem, D: int | None = None) -> Fraction:
+def eta_graph(alpha: Vec, nu: Vec, rs: RootSystem) -> Fraction:
     """Graph-side efficiency: the stalk rank at ``nu`` over the sum of
     stalk ranks over the colliding vertex set.
 
@@ -107,7 +106,7 @@ def eta_graph(alpha: Vec, nu: Vec, rs: RootSystem, D: int | None = None) -> Frac
     """
     if not rsys.is_dominant(rs, alpha):
         raise ValueError("alpha must be dominant")
-    column = stalk_ranks(Truncation(rs, tuple(alpha)), D=D)
+    column = stalk_ranks(Truncation(rs, tuple(alpha)))
     nu = tuple(nu)
     if nu not in column.ranks:
         raise ValueError(f"{nu} is not a vertex of the {alpha} truncation")
@@ -134,7 +133,6 @@ def adjoint_record(
     type_label: str,
     rank: int,
     mode: str = "analytic",
-    D: int | None = None,
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> EfficiencyRecord:
     """Efficiency row for the adjoint class at the origin.
@@ -149,10 +147,10 @@ def adjoint_record(
     source = "analytic"
     num = ell
     if mode == "stalk":
-        g = build_graph(Truncation(rs, rs.highest_root))
-        cells, bound = estimated_cells(g, D)
+        tr = Truncation(rs, rs.highest_root)
+        cells, _ = estimated_cells(tr)
         if cells <= cell_cap:
-            column = stalk_ranks(Truncation(rs, rs.highest_root), D=D)
+            column = stalk_ranks(tr)
             num = column.ranks[rsys.zero_vec(rs)]
             source = "stalk"
         else:
@@ -191,6 +189,18 @@ class SeriesReport:
         )
 
 
+def series_specs(max_rank: int) -> list[tuple[str, int]]:
+    """The series rows A_1..A_max, D_3..D_max and E_6..E_8 as
+    ``(type, rank)`` pairs."""
+    if max_rank < 1:
+        raise ValueError("max_rank must be at least 1")
+    return (
+        [("A", l) for l in range(1, max_rank + 1)]
+        + [("D", l) for l in range(3, max_rank + 1)]
+        + [("E", 6), ("E", 7), ("E", 8)]
+    )
+
+
 def series_report(
     max_rank: int,
     mode: str = "analytic",
@@ -199,14 +209,7 @@ def series_report(
 ) -> SeriesReport:
     """Efficiency rows for A_1..A_max, D_3..D_max and E_6..E_8, with the
     strict monotonicity of the bounds along each family asserted."""
-    if max_rank < 1:
-        raise ValueError("max_rank must be at least 1")
-    specs = []
-    for l in range(1, max_rank + 1):
-        specs.append(("A", l))
-    for l in range(3, max_rank + 1):
-        specs.append(("D", l))
-    specs.extend([("E", 6), ("E", 7), ("E", 8)])
+    specs = series_specs(max_rank)
     if rows is not None:
         records = list(rows)
     else:

@@ -25,12 +25,6 @@ from fractions import Fraction
 
 Vec = tuple[int, ...]
 
-ROOT_COUNT = {
-    "A": lambda l: l * (l + 1),
-    "D": lambda l: 2 * l * (l - 1),
-    "E": lambda l: {6: 72, 7: 126, 8: 240}[l],
-}
-
 
 class UnsupportedRootSystem(ValueError):
     pass
@@ -155,7 +149,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         roots |= new
         frontier = new
 
-    expected = ROOT_COUNT[type_label](rank)
+    expected = root_count(type_label, rank)
     if len(roots) != expected:
         raise AssertionError(
             f"reflection closure produced {len(roots)} roots, expected {expected}"

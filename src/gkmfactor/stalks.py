@@ -31,19 +31,21 @@ section, scaled by a positive integer and extended by a component at
 shared between steps and never mutated; the nested dicts are only
 shallow-copied or, for a coefficient other than one, rescaled.
 
-Degree bounds.  Generator degrees of a stalk are bounded by half the
-complex dimension of the truncation (stalk cohomology sits strictly
-below the dimension), so the default bound is
-``min(longest level chain + 2, (dim - 1)//2 + 2)`` with
-``dim = <2 rho, lam>``.  A computation whose generator profile touches
-the last two degrees is rejected (and automatically retried with a
-larger bound when the bound was defaulted), so reported ranks are
-always stability-checked.
+Degree bound.  Generator degrees of a stalk are bounded by half the
+complex dimension of the truncation: intersection cohomology stalks at
+``t^mu`` sit strictly below ``dim Gr^lam - dim Gr^mu`` (Braden-MacPherson
+2001; Lusztig 1983, whose q-analogue the tests check at every vertex).
+So the bound is ``max(2, (dim - 1)//2 + 2)`` with ``dim = <2 rho, lam>``,
+read off the truncation alone, and there are no retries.  A column
+whose generator profile touches the last two degrees is still rejected
+with :class:`DegreeBoundError`, so every reported rank is
+stability-checked; at the default bound that error means a broken
+invariant, not a bound to raise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
@@ -60,24 +62,11 @@ from .rootsystem import Vec
 
 
 class DegreeBoundError(ValueError):
-    """Generator profile not stable below the degree bound; raise it."""
+    """Generator profile not stable below the degree bound."""
 
 
 class RecursionOrderError(ValueError):
     """A vertex was reached with no processed neighbor above it."""
-
-
-@dataclass
-class Stalk:
-    """Free graded module at a vertex: generator degrees plus, for each
-    upward edge, the boundary components of each generator."""
-
-    degrees: tuple[int, ...]
-    edge_maps: dict = field(default_factory=dict)
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
 
 
 class _Layout:
@@ -119,20 +108,18 @@ class ColumnResult:
         return self.ranks[v]
 
 
-def default_degree_bound(g: MomentGraph) -> int:
-    chain = len({g.level(v) for v in g.vertices})
-    dim = sum(rsys.pairing(g.rs, g.lam, a) for a in g.rs.positive_roots)
-    cap = (dim - 1) // 2 + 2 if dim >= 1 else 2
-    return max(2, min(chain + 2, cap))
+def default_degree_bound(tr: Truncation) -> int:
+    """The degree bound of a truncation's column (see the module doc)."""
+    dim = sum(rsys.pairing(tr.rs, tr.lam, a) for a in tr.rs.positive_roots)
+    return max(2, (dim - 1) // 2 + 2)
 
 
-def estimated_cells(g: MomentGraph, D: int | None = None) -> tuple[int, int]:
+def estimated_cells(tr: Truncation) -> tuple[int, int]:
     """Peak per-degree coefficient slot count and the bound it assumes;
-    the guard used for refusing oversized runs."""
-    if D is None:
-        D = default_degree_bound(g)
-    n = g.num_vars
-    return len(g.vertices) * comb(D + n - 1, n - 1), D
+    the guard used for refusing oversized runs.  Builds no graph."""
+    D = default_degree_bound(tr)
+    n = tr.rs.rank + 1  # label variables, as in MomentGraph.num_vars
+    return len(tr.vertex_set()) * comb(D + n - 1, n - 1), D
 
 
 def _project_nested(vec, ydict, reducers, blayout):
@@ -208,23 +195,18 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
 
     # Section basis vectors are nested dicts {vertex: {(gen, exp): int}},
     # shared (never mutated) between steps when a vertex extension leaves
-    # them untouched.
+    # them untouched.  A vertex is processed once it has a profile (its
+    # generator degrees).
     bases: list[list[dict]] = [[] for _ in range(D + 1)]
-    stalks: dict[Vec, Stalk] = {}
-    ranks: dict[Vec, int] = {}
     profiles: dict[Vec, tuple[int, ...]] = {}
-    processed: set = set()
     section_dims: tuple[int, ...] = ()
 
     for x in reversed(order):
-        if not processed:
-            stalks[x] = Stalk(degrees=(0,))
-            ranks[x] = 1
+        if not profiles:
             profiles[x] = (0,)
             for d in range(D + 1):
                 for exp in monomials(n, d):
                     bases[d].append({x: {(0, exp): 1}})
-            processed.add(x)
             continue
 
         xi = g.vindex[x]
@@ -232,7 +214,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         for k in sorted(g.adjacency[xi]):
             e = g.edges[k]
             other = g.vertices[e.v if e.u == xi else e.u]
-            if other in processed:
+            if other in profiles:
                 upedges.append((k, e, other))
         if not upedges:
             raise RecursionOrderError(
@@ -249,7 +231,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
             bl = _Layout()
             for pos, (_, _, y) in enumerate(upedges):
                 pivot = reducers[pos].pivot
-                for j, t in enumerate(stalks[y].degrees):
+                for j, t in enumerate(profiles[y]):
                     if d >= t:
                         bl.add_block(pos, j, reduced_monomials(n, d - t, pivot))
             blayouts.append(bl)
@@ -257,35 +239,30 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                 [_project_nested(vec, ydict, reducers, bl) for vec in bases[d]]
             )
 
-        # Minimal generators of the boundary module, degree by degree.
+        # Minimal generators of the boundary module, degree by degree, with
+        # each generator's boundary row as {upward edge: {block: poly}}.
         gen_degrees: list[int] = []
-        gen_snapshots: list[tuple[int, dict]] = []
+        gen_parts: list[dict] = []
         prev_basis: list[dict] = []
         for d in range(D + 1):
             rr = kernels.IntRREF()
             for b in prev_basis:
                 for i in range(n):
                     rr.add(_mult_var(b, i, blayouts[d - 1], blayouts[d], reducers))
+            info = blayouts[d].info
             for s in spans[d]:
                 col = rr.add(s)
                 if col is not None:
+                    parts: dict = {}
+                    for slot, c in rr.pivot_row(col).items():
+                        pos, j, exp = info[slot]
+                        parts.setdefault(pos, {}).setdefault(j, {})[exp] = c
                     gen_degrees.append(d)
-                    gen_snapshots.append((d, rr.pivot_row(col)))
+                    gen_parts.append(parts)
             prev_basis = [row for _, row in rr.pivot_items()]
+        profiles[x] = tuple(gen_degrees)
 
-        st = Stalk(degrees=tuple(gen_degrees))
-        for gi, (d, snap) in enumerate(gen_snapshots):
-            info = blayouts[d].info
-            for slot, c in snap.items():
-                pos, j, exp = info[slot]
-                key = (upedges[pos][0], gi)
-                st.edge_maps.setdefault(key, {}).setdefault(j, {})[exp] = c
-        stalks[x] = st
-        ranks[x] = st.rank
-        profiles[x] = st.degrees
-        processed.add(x)
-
-        if len(processed) == len(order):
+        if len(profiles) == len(order):
             # Sections over the upper set of the final vertex; no one
             # consumes an extension across the full graph.
             section_dims = tuple(len(b) for b in bases)
@@ -295,7 +272,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         for d in range(D + 1):
             m = len(bases[d])
             xslots = []
-            for gi, t in enumerate(st.degrees):
+            for gi, t in enumerate(gen_degrees):
                 if d >= t:
                     for exp in monomials(n, d - t):
                         xslots.append((gi, exp))
@@ -306,25 +283,21 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
             for i, srow in enumerate(spans[d]):
                 for bslot, c in srow.items():
                     rows.setdefault(bslot, {})[nx + i] = -c
+            # Blocks are disjoint and a product has distinct exponents, so
+            # each (boundary slot, x slot) entry is written once.
             for local, (gi, exp) in enumerate(xslots):
-                for pos, (k, e, y) in enumerate(upedges):
-                    comp = st.edge_maps.get((k, gi))
+                parts = gen_parts[gi]
+                for pos, red in enumerate(reducers):
+                    comp = parts.get(pos)
                     if not comp:
                         continue
-                    red_mu = reducers[pos].reduce_monomial(exp)
+                    red_mu = red.reduce_monomial(exp)
                     if not red_mu:
                         continue
                     for j, p in comp.items():
-                        prod = poly_mul(red_mu, p)
                         index = blayouts[d].lookup[(pos, j)][2]
-                        for pexp, c in prod.items():
-                            bslot = index[pexp]
-                            row = rows.setdefault(bslot, {})
-                            w = row.get(local, 0) + c
-                            if w:
-                                row[local] = w
-                            elif local in row:
-                                del row[local]
+                        for pexp, c in poly_mul(red_mu, p).items():
+                            rows.setdefault(index[pexp], {})[local] = c
             kern = kernels.nullspace_of_rows(rows.values(), nx + m)
 
             new_basis = []
@@ -363,14 +336,14 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     if unstable:
         raise DegreeBoundError(
             f"generator profile touches degrees {D - 1}..{D} at vertices "
-            f"{unstable}; rerun with a larger degree bound than {D}"
+            f"{unstable}; it is not stable below degree bound {D}"
         )
 
     return ColumnResult(
         graph=g,
         degree_bound=D,
         order=tuple(order),
-        ranks=MappingProxyType(ranks),
+        ranks=MappingProxyType({v: len(prof) for v, prof in profiles.items()}),
         profiles=MappingProxyType(profiles),
         section_dims=section_dims,
     )
@@ -379,40 +352,24 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
 _COLUMN_CACHE: dict = {}
 
 
-def stalk_ranks(tr: Truncation, D: int | None = None, extension=None) -> ColumnResult:
+def stalk_ranks(tr: Truncation, D: int | None = None) -> ColumnResult:
     """Stalk ranks of the canonical sheaf at every vertex of a truncation.
 
-    With ``D`` unset the default bound is used and automatically
-    escalated (at most three times) if the stability check trips; an
-    explicit ``D`` that is too small raises :class:`DegreeBoundError`.
-    Default-order results are cached per (root system, coweight, bound).
+    ``D`` defaults to :func:`default_degree_bound`; there are no retries,
+    so a bound too small for the column raises :class:`DegreeBoundError`.
+    Results are cached per (root system, coweight, bound), and a cached
+    column builds no graph.
     """
-    g = build_graph(tr)
-    defaulted = D is None
-    key = None
-    if extension is None:
-        key = (tr.rs.type_label, tr.rs.rank, tr.lam, "auto" if defaulted else D)
-        cached = _COLUMN_CACHE.get(key)
-        if cached is not None:
-            return cached
-    bound = default_degree_bound(g) if defaulted else D
-    attempts = 0
-    while True:
-        try:
-            result = run_column(g, bound, extension=extension)
-            break
-        except DegreeBoundError:
-            if not defaulted or attempts >= 3:
-                raise
-            attempts += 1
-            bound += 2
-    if key is not None:
-        _COLUMN_CACHE[key] = result
+    bound = default_degree_bound(tr) if D is None else D
+    key = (tr.rs.type_label, tr.rs.rank, tr.lam, bound)
+    result = _COLUMN_CACHE.get(key)
+    if result is None:
+        result = _COLUMN_CACHE[key] = run_column(build_graph(tr), bound)
     return result
 
 
-def stalk_rank_at(tr: Truncation, vertex: Vec, D: int | None = None) -> int:
-    result = stalk_ranks(tr, D=D)
+def stalk_rank_at(tr: Truncation, vertex: Vec) -> int:
+    result = stalk_ranks(tr)
     if tuple(vertex) not in result.ranks:
         raise ValueError(f"{vertex} is not a vertex of the truncation")
     return result.ranks[tuple(vertex)]
@@ -459,7 +416,7 @@ class MultiplicityMatrix:
         return bad
 
 
-def multiplicity_matrix(tr: Truncation, D: int | None = None) -> MultiplicityMatrix:
+def multiplicity_matrix(tr: Truncation) -> MultiplicityMatrix:
     """Assemble the multiplicity matrix of a truncation: one recursion
     per dominant class on its own sub-truncation."""
     g = build_graph(tr)
@@ -469,6 +426,6 @@ def multiplicity_matrix(tr: Truncation, D: int | None = None) -> MultiplicityMat
     )
     entries = []
     for alpha in rows:
-        column = stalk_ranks(Truncation(tr.rs, alpha), D=D)
+        column = stalk_ranks(Truncation(tr.rs, alpha))
         entries.append(tuple(column.ranks.get(b, 0) for b in cols))
     return MultiplicityMatrix(rows, cols, tuple(entries))

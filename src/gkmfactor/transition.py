@@ -216,7 +216,6 @@ def transition_bundle(
     lam: Vec,
     mu: Vec,
     nu: Vec,
-    D: int | None = None,
     p_diag=None,
     euler: str = "unit",
 ) -> TransitionBundle:
@@ -237,7 +236,7 @@ def transition_bundle(
         if not rsys.dominance_leq(rs, nu, alpha):
             m_entries.append((0,))
             continue
-        column = stalk_ranks(Truncation(rs, alpha), D=D)
+        column = stalk_ranks(Truncation(rs, alpha))
         m_entries.append((column.ranks.get(nu, 0),))
     m_block = tuple(m_entries)
     p = tuple(Fraction(x) for x in p_diag) if p_diag is not None else tuple(

@@ -92,6 +92,32 @@ def test_oversized_refusal_mentions_estimate(capsys):
     assert "estimated" in err and "cells" in err
 
 
+def test_oversized_refusal_builds_no_graph(monkeypatch, capsys):
+    from gkmfactor import momentgraph, stalks
+
+    def no_graph(tr):
+        raise AssertionError("a graph was built")
+
+    for module in (cli, momentgraph, stalks):
+        monkeypatch.setattr(module, "build_graph", no_graph)
+    code, out = capture(["stalks", "--type", "E", "--rank", "6", "--coweight", "theta"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing: estimated ") and "cells at degree bound 12" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stalks", "--type", "A", "--rank", "2", "--coweight", "theta"],
+    ["mmatrix", "--type", "A", "--rank", "2", "--coweight", "theta"],
+    ["transition", "--type", "A", "--rank", "2", "--lambda", "omega1", "--mu", "omega1*",
+     "--weight", "zero"],
+], ids=lambda a: a[0])
+def test_degree_bound_option_removed(argv):
+    # The degree bound comes from the truncation alone.
+    assert capture(argv)[0] == 0
+    assert capture(argv + ["--degree-bound", "5"])[0] == 2
+
+
 def test_verify_suites_pass():
     # adjoint-ranks reuses the in-process stalk cache, so the whole set
     # stays fast inside one test session.
@@ -242,3 +268,11 @@ def test_negative_vector_space_form_matches_equals_form(argv, capsys):
     code, out, err = spaced
     assert code in (0, 1)
     assert out if code == 0 else "must be dominant" in err
+
+
+def test_eta_series_rejects_max_rank_before_any_worker(monkeypatch, pool_requests, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code, out = capture(["--threads", "2", "eta", "--series", "all", "--max-rank", "0"])
+    assert code == 1 and out == ""
+    assert pool_requests == []
+    assert "max_rank must be at least 1" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from gkmfactor.efficiency import (
     eta_graph,
     eta_rep,
     series_report,
+    series_specs,
 )
 
 
@@ -133,3 +134,10 @@ def test_series_report_monotone():
 def test_series_report_validates_rank():
     with pytest.raises(ValueError):
         series_report(0)
+
+
+def test_series_specs_rows():
+    assert series_specs(3) == [("A", 1), ("A", 2), ("A", 3), ("D", 3), ("E", 6), ("E", 7), ("E", 8)]
+    assert [(r.type_label, r.rank) for r in series_report(3).records] == series_specs(3)
+    with pytest.raises(ValueError):
+        series_specs(0)

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from gkmfactor import kernels
+from gkmfactor import kernels, stalks
 from gkmfactor import rootsystem as rsys
 from gkmfactor.momentgraph import Truncation, build_graph
 from gkmfactor.stalks import (
@@ -206,11 +206,29 @@ def test_level_inverting_extension_rejected():
 
 def test_default_bound_values():
     rs = rsys.build("A", 2)
-    g = build_graph(Truncation(rs, rs.highest_root))
-    assert default_degree_bound(g) == 3
-    cells, bound = estimated_cells(g)
+    tr = Truncation(rs, rs.highest_root)
+    assert default_degree_bound(tr) == 3
+    cells, bound = estimated_cells(tr)
     assert bound == 3
-    assert cells == len(g.vertices) * comb(3 + 2, 2)
+    assert cells == len(build_graph(tr).vertices) * comb(3 + 2, 2)
+
+
+def test_cached_column_builds_no_graph(monkeypatch):
+    built = []
+    build = stalks.build_graph
+    monkeypatch.setattr(stalks, "build_graph", lambda tr: built.append(tr) or build(tr))
+    monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
+    rs = rsys.build("A", 2)
+    tr = Truncation(rs, rs.highest_root)
+    col = stalk_ranks(tr)
+    assert stalk_ranks(tr) is col
+    assert built == [tr]
+
+
+def test_default_bound_is_the_cache_key():
+    rs = rsys.build("A", 3)
+    tr = Truncation(rs, rs.highest_root)
+    assert stalk_ranks(tr, D=default_degree_bound(tr)) is stalk_ranks(tr)
 
 
 def test_stalk_rank_at_rejects_foreign_vertex():

@@ -8,8 +8,6 @@ are checked against bounded brute-force enumeration.
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gkmfactor import rootsystem as rsys
 from gkmfactor.weights import (
