@@ -14,22 +14,37 @@ graph is built top down along a linear extension of the graph order:
   stalk rank.
 
 Everything is computed degree by degree in exact integer arithmetic
-(:mod:`gkmfactor.kernels`).  The per-degree section bases are maintained
-incrementally: processing a vertex solves only the congruences along
-its own upward edges against the current basis, so the expensive global
-elimination is never redone from scratch.
+(:mod:`gkmfactor.kernels`).  The sections over the processed upper set
+``I`` are an S-module, and they are kept as one: a list of module
+generators ``(degree, section)`` plus the dimension of every degree,
+never a vector-space basis per degree.  Processing a vertex solves only
+the congruences along its own upward edges, against those generators.
 
 Each vertex step is the fibre product
 ``Gamma(I + {x}) = Gamma(I) x_{M_x} F(x)`` (Braden-MacPherson, *From
 moment graphs to intersection cohomology*, Math. Ann. 2001; Fiebig,
 *Sheaves on moment graphs and a localization of Verma flags*, Adv. Math.
-2008).  Its kernel is solved with the slots of the new stalk ``F(x)``
-ordered before the old sections.  Because ``F(x) -> M_x`` is onto, every
-pivot lands on an ``x`` slot, so each new basis vector is either one old
-section, scaled by a positive integer and extended by a component at
-``x``, or a section supported at ``x`` alone.  Old section vectors are
-shared between steps and never mutated; the nested dicts are only
-shallow-copied or, for a coefficient other than one, rescaled.
+2008).  Projection to the upward edges is S-linear, so the boundary
+module ``M_x`` in degree ``d`` is ``S_1 M_(d-1)`` plus the boundary
+values of the degree-``d`` generators, and only those are projected.
+
+The fibre product's degree-``d`` kernel is solved over the slots of the
+new stalk ``F(x)``, ordered before the degree-``d`` old generators.
+Because ``F(x) -> M_x`` is onto, every pivot lands on an ``x`` slot, so
+each kernel vector is either one old generator, scaled by a positive
+integer and extended by a component at ``x``, or an element of
+``ker(F(x) -> M_x)`` supported at ``x`` alone.  The extended generators
+and ``ker phi`` together generate the new sections.  Of the ``ker phi``
+vectors only those whose leading slot is not a variable times the
+leading slot of one in the degree below are kept; this is a
+Groebner-type pruning.  The leading slot of a kernel vector is its free
+column, its largest, and the x-slot order (generator index, then
+monomials lex descending) is compatible with multiplying by a monomial,
+so the kept vectors still generate ``ker phi``.  Since both maps onto
+``M_x`` are onto, ``dim Gamma_d`` grows by ``dim F(x)_d - dim M_d``.
+Old generators are shared between steps and never mutated; the nested
+dicts are only shallow-copied or, for a coefficient other than one,
+rescaled.
 
 Degree bound.  Generator degrees of a stalk are bounded by half the
 complex dimension of the truncation: intersection cohomology stalks at
@@ -193,20 +208,20 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     if any(a > b for a, b in zip(levels, levels[1:])):
         raise ValueError("extension must not invert the graph order's levels")
 
-    # Section basis vectors are nested dicts {vertex: {(gen, exp): int}},
-    # shared (never mutated) between steps when a vertex extension leaves
-    # them untouched.  A vertex is processed once it has a profile (its
-    # generator degrees).
-    bases: list[list[dict]] = [[] for _ in range(D + 1)]
+    # Sections over the processed upper set are kept as an S-module: a
+    # list of generators (degree, nested dict {vertex: {(gen, exp): int}})
+    # shared (never mutated) between steps, plus dims[d] = dim Gamma_d.
+    # A vertex is processed once it has a profile (its generator degrees).
+    gens: list[tuple[int, dict]] = []
+    dims: list[int] = []
     profiles: dict[Vec, tuple[int, ...]] = {}
     section_dims: tuple[int, ...] = ()
 
     for x in reversed(order):
         if not profiles:
             profiles[x] = (0,)
-            for d in range(D + 1):
-                for exp in monomials(n, d):
-                    bases[d].append({x: {(0, exp): 1}})
+            gens.append((0, {x: {(0, (0,) * n): 1}}))
+            dims = [len(monomials(n, d)) for d in range(D + 1)]
             continue
 
         xi = g.vindex[x]
@@ -224,7 +239,10 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         reducers = [reducer_for(e.label, n) for _, e, _ in upedges]
         ydict = {y: pos for pos, (_, _, y) in enumerate(upedges)}
 
-        # Boundary layouts and the projections of the current section bases.
+        # Boundary layouts and the boundary values of the section generators.
+        old_gens: list[list[dict]] = [[] for _ in range(D + 1)]
+        for t, vec in gens:
+            old_gens[t].append(vec)
         blayouts = []
         spans = []
         for d in range(D + 1):
@@ -236,13 +254,15 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         bl.add_block(pos, j, reduced_monomials(n, d - t, pivot))
             blayouts.append(bl)
             spans.append(
-                [_project_nested(vec, ydict, reducers, bl) for vec in bases[d]]
+                [_project_nested(vec, ydict, reducers, bl) for vec in old_gens[d]]
             )
 
         # Minimal generators of the boundary module, degree by degree, with
-        # each generator's boundary row as {upward edge: {block: poly}}.
+        # each generator's boundary row as {upward edge: {block: poly}};
+        # M_d is S_1 M_(d-1) plus the boundary values of degree-d generators.
         gen_degrees: list[int] = []
         gen_parts: list[dict] = []
+        mdims: list[int] = []
         prev_basis: list[dict] = []
         for d in range(D + 1):
             rr = kernels.IntRREF()
@@ -259,25 +279,27 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         parts.setdefault(pos, {}).setdefault(j, {})[exp] = c
                     gen_degrees.append(d)
                     gen_parts.append(parts)
+            mdims.append(rr.rank)
             prev_basis = [row for _, row in rr.pivot_items()]
         profiles[x] = tuple(gen_degrees)
 
         if len(profiles) == len(order):
             # Sections over the upper set of the final vertex; no one
             # consumes an extension across the full graph.
-            section_dims = tuple(len(b) for b in bases)
+            section_dims = tuple(dims)
             break
 
-        # Extend the section bases over the enlarged upper part.
+        # Generators of the fibre product over the enlarged upper part.
+        new_gens: list[tuple[int, dict]] = []
+        prev_free: set = set()
         for d in range(D + 1):
-            m = len(bases[d])
             xslots = []
             for gi, t in enumerate(gen_degrees):
                 if d >= t:
                     for exp in monomials(n, d - t):
                         xslots.append((gi, exp))
             # The x slots come first, so every pivot lands on one (see the
-            # module docstring); old section i is column nx + i.
+            # module docstring); old generator i is column nx + i.
             nx = len(xslots)
             rows: dict = {}
             for i, srow in enumerate(spans[d]):
@@ -298,9 +320,9 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         index = blayouts[d].lookup[(pos, j)][2]
                         for pexp, c in poly_mul(red_mu, p).items():
                             rows.setdefault(index[pexp], {})[local] = c
-            kern = kernels.nullspace_of_rows(rows.values(), nx + m)
+            kern = kernels.nullspace_of_rows(rows.values(), nx + len(spans[d]))
 
-            new_basis = []
+            free: set = set()
             for kvec in kern:
                 old = None
                 xsub: dict = {}
@@ -308,18 +330,29 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                     if col < nx:
                         xsub[xslots[col]] = c
                     elif old is None:
-                        old, coef = bases[d][col - nx], c
+                        old, coef = old_gens[d][col - nx], c
                     else:
                         raise AssertionError(
                             f"kernel vector at {x} in degree {d} touches two "
                             "old sections; phi is not onto the boundary module"
                         )
-                if not xsub:
-                    new_basis.append(old)
-                    continue
                 if old is None:
-                    out = {}
-                elif coef == 1:
+                    # An element of ker phi led by its free column, the
+                    # largest; skip it if a variable times a lower one
+                    # has the same leading slot (see the module docstring).
+                    gi, exp = xslots[max(kvec)]
+                    free.add((gi, exp))
+                    if not any(
+                        (gi, exp[:i] + (exp[i] - 1,) + exp[i + 1:]) in prev_free
+                        for i in range(n)
+                        if exp[i]
+                    ):
+                        new_gens.append((d, {x: xsub}))
+                    continue
+                if not xsub:
+                    new_gens.append((d, old))
+                    continue
+                if coef == 1:
                     out = dict(old)
                 else:
                     out = {
@@ -327,8 +360,10 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         for vk, sub in old.items()
                     }
                 out[x] = xsub
-                new_basis.append(out)
-            bases[d] = new_basis
+                new_gens.append((d, out))
+            prev_free = free
+            dims[d] += nx - mdims[d]
+        gens = new_gens
 
     unstable = sorted(
         v for v, prof in profiles.items() if any(d >= D - 1 for d in prof)
@@ -418,9 +453,9 @@ class MultiplicityMatrix:
 
 def multiplicity_matrix(tr: Truncation) -> MultiplicityMatrix:
     """Assemble the multiplicity matrix of a truncation: one recursion
-    per dominant class on its own sub-truncation."""
-    g = build_graph(tr)
-    cols = g.vertices
+    per dominant class on its own sub-truncation.  The top class's
+    column supplies the graph, so each class builds one graph at most."""
+    cols = stalk_ranks(tr).graph.vertices
     rows = tuple(
         v for v in cols if rsys.is_dominant(tr.rs, v)
     )

@@ -1,10 +1,15 @@
 """Standalone section spaces over explicit free stalks.
 
 An independent route to the section dimensions of the stalk engine:
-one global congruence system per degree, solved from scratch, where
-``stalks.run_column`` extends its section bases one vertex at a time.
+one global congruence system per degree, solved from scratch into a
+vector-space basis.  ``stalks.run_column`` instead carries module
+generators one vertex at a time, keeps only the ``ker phi`` vectors
+that the leading-slot pruning does not discard, and counts
+``dim Gamma_d`` as the running sum of ``dim F(x)_d - dim M_d``; this
+module shares only the slot layout and the elimination kernel with it.
 It covers the hand-checkable case of free stalks with coordinate-wise
-restriction along every edge.
+restriction along every edge, such as the all-smooth columns whose
+stalks are all free of rank one.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import pytest
 from gkmfactor import kernels, stalks
 from gkmfactor import rootsystem as rsys
 from gkmfactor.momentgraph import Truncation, build_graph
+from gkmfactor.poly import monomials
 from gkmfactor.stalks import (
     DegreeBoundError,
     default_degree_bound,
@@ -225,6 +226,16 @@ def test_cached_column_builds_no_graph(monkeypatch):
     assert built == [tr]
 
 
+def test_cold_multiplicity_matrix_builds_one_graph_per_class(monkeypatch):
+    built = []
+    build = stalks.build_graph
+    monkeypatch.setattr(stalks, "build_graph", lambda tr: built.append(tr.lam) or build(tr))
+    monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
+    rs = rsys.build("A", 2)
+    m = multiplicity_matrix(Truncation(rs, rs.highest_root))
+    assert sorted(built) == sorted(m.row_coweights)
+
+
 def test_default_bound_is_the_cache_key():
     rs = rsys.build("A", 3)
     tr = Truncation(rs, rs.highest_root)
@@ -356,10 +367,44 @@ def test_golden_columns_under_random_extensions(t, l, name):
         assert res.section_dims == base.section_dims
 
 
+@pytest.mark.parametrize("t,l,name", [("A", 3, "2omega1"), ("A", 4, "omega2")])
+def test_section_dims_match_oracle_on_smooth_columns(t, l, name):
+    # Every stalk of these columns is free of rank one, so the engine's
+    # dims (its dim M_d bookkeeping and its pruned ker phi generators)
+    # must equal the from-scratch solve over the final upper set.
+    rs = rsys.build(t, l)
+    col = stalk_ranks(Truncation(rs, _coweight(rs, name)))
+    assert set(col.profiles.values()) == {(0,)}
+    upper = col.order[1:]
+    secs = section_space(col.graph, upper, free_stalk_assignment(upper), col.degree_bound)
+    assert tuple(secs.dimension(d) for d in range(col.degree_bound + 1)) == col.section_dims
+
+
 def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
     # With the x slots first, a kernel vector that combines two old
-    # sections means F(x) -> M_x was not onto; the step must not go on.
+    # section generators means F(x) -> M_x was not onto; the step must
+    # not go on.  The fake kernel fires in the first extension solve of
+    # a degree with at least two old generators, the last two columns.
     rs, g = adjoint_graph("A", 2)
-    monkeypatch.setattr(kernels, "nullspace_of_rows", lambda rows, ncols: [{ncols - 2: 1, ncols - 1: 1}])
+    col = stalk_ranks(Truncation(rs, rs.highest_root))
+    D, n = col.degree_bound, g.num_vars
+    # x-slot count of each extension solve in call order: every vertex
+    # but the top and the last one processed, degrees 0..D.
+    nxs = [
+        sum(len(monomials(n, d - t)) for t in col.profiles[x] if d >= t)
+        for x in reversed(col.order[1:-1])
+        for d in range(D + 1)
+    ]
+    real = kernels.nullspace_of_rows
+    old_columns = []
+
+    def fake(rows, ncols):
+        old_columns.append(ncols - nxs[len(old_columns)])
+        if old_columns[-1] >= 2:
+            return [{ncols - 2: 1, ncols - 1: 1}]
+        return real(rows, ncols)
+
+    monkeypatch.setattr(kernels, "nullspace_of_rows", fake)
     with pytest.raises(AssertionError, match="two old sections"):
-        run_column(g, 3)
+        run_column(g, D)
+    assert len(old_columns) > 1 and old_columns[-1] >= 2
