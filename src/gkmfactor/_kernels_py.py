@@ -117,9 +117,6 @@ class IntRREF:
         self.pivots[col] = r
         return col
 
-    def pivot_columns(self):
-        return sorted(self.pivots)
-
     def pivot_row(self, col):
         """Copy of the stored (reduced, primitive) row with this pivot."""
         return dict(self.pivots[col])

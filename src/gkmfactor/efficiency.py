@@ -23,7 +23,7 @@ from .rootsystem import RootSystem, Vec
 from .stalks import estimated_cells, stalk_ranks
 from .weights import tensor_weight_dim
 
-DEFAULT_CELL_CAP = 500_000
+DEFAULT_CELL_CAP = 20_000
 
 
 @dataclass(frozen=True)

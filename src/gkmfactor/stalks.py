@@ -28,6 +28,20 @@ moment graphs to intersection cohomology*, Math. Ann. 2001; Fiebig,
 module ``M_x`` in degree ``d`` is ``S_1 M_(d-1)`` plus the boundary
 values of the degree-``d`` generators, and only those are projected.
 
+A boundary value has one form: a flat row over the slots of its
+degree's layout, one block per (upward edge, neighbor's generator) on
+the pivot-free monomials of the edge's quotient ring.  Each vertex
+takes one pass over the degrees.  In degree ``d`` the generator search
+eliminates ``S_1`` times the reduced basis of ``M_(d-1)``, each row
+multiplied slot-wise by a variable (:func:`_mult_var`), followed by the
+projected degree-``d`` section generators.  The fibre product's system
+then has the images of the ``x`` slots and the projected generators as
+its columns.  The image of slot ``(gi, exp)`` is the generator's pivot
+row when ``exp`` is zero, and otherwise the variable of ``exp``'s first
+nonzero exponent times the image of the slot one degree lower.  The
+reduced basis, not those images, feeds the generator search, because
+unreduced image rows fill in.
+
 The fibre product's degree-``d`` kernel is solved over the slots of the
 new stalk ``F(x)``, ordered before the degree-``d`` old generators.
 Because ``F(x) -> M_x`` is onto, every pivot lands on an ``x`` slot, so
@@ -67,12 +81,7 @@ from types import MappingProxyType
 from . import kernels
 from . import rootsystem as rsys
 from .momentgraph import MomentGraph, Truncation, build_graph
-from .poly import (
-    monomials,
-    poly_mul,
-    reduced_monomials,
-    reducer_for,
-)
+from .poly import monomials, reduced_monomials, reducer_for
 from .rootsystem import Vec
 
 
@@ -85,7 +94,11 @@ class RecursionOrderError(ValueError):
 
 
 class _Layout:
-    """Contiguous slot blocks, one per (key, generator) pair and degree."""
+    """Contiguous slot blocks of one degree, one per (key, generator) pair.
+
+    ``lookup[(key, gen)]`` is a block's slot index ``{monomial: slot}``;
+    ``info[slot]`` is ``(key, gen, monomial)``.
+    """
 
     __slots__ = ("lookup", "info", "total")
 
@@ -95,13 +108,10 @@ class _Layout:
         self.total = 0
 
     def add_block(self, key, gen_idx, monos):
-        index = {m: self.total + i for i, m in enumerate(monos)}
-        block = (self.total, monos, index)
-        self.lookup[(key, gen_idx)] = block
+        self.lookup[(key, gen_idx)] = {m: self.total + i for i, m in enumerate(monos)}
         for m in monos:
             self.info.append((key, gen_idx, m))
         self.total += len(monos)
-        return block
 
 
 @dataclass(frozen=True)
@@ -118,9 +128,6 @@ class ColumnResult:
     ranks: MappingProxyType
     profiles: MappingProxyType
     section_dims: tuple[int, ...]
-
-    def rank_at(self, v: Vec) -> int:
-        return self.ranks[v]
 
 
 def default_degree_bound(tr: Truncation) -> int:
@@ -156,10 +163,9 @@ def _project_nested(vec, ydict, reducers, blayout):
             rp = red.reduce_poly(poly_dict)
             if not rp:
                 continue
-            block = blayout.lookup.get((pos, j))
-            if block is None:
+            index = blayout.lookup.get((pos, j))
+            if index is None:
                 continue
-            index = block[2]
             for exp, c in rp.items():
                 slot = index[exp]
                 w = out.get(slot, 0) + c
@@ -178,7 +184,7 @@ def _mult_var(row, var, prev_layout, cur_layout, reducers):
     for slot, c in row.items():
         pos, j, exp = info[slot]
         vf = reducers[pos].variable_form(var)
-        index = cur_layout.lookup[(pos, j)][2]
+        index = cur_layout.lookup[(pos, j)]
         for ev, cv in vf.items():
             nexp = tuple(a + b for a, b in zip(exp, ev))
             ns = index[nexp]
@@ -239,88 +245,72 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         reducers = [reducer_for(e.label, n) for _, e, _ in upedges]
         ydict = {y: pos for pos, (_, _, y) in enumerate(upedges)}
 
-        # Boundary layouts and the boundary values of the section generators.
+        # One pass over the degrees: in degree d the boundary layout, the
+        # boundary values of the degree-d section generators, the minimal
+        # generators of M_d and, except at the final vertex, the kernel.
         old_gens: list[list[dict]] = [[] for _ in range(D + 1)]
         for t, vec in gens:
             old_gens[t].append(vec)
-        blayouts = []
-        spans = []
+        final = len(profiles) + 1 == len(order)
+        gen_degrees: list[int] = []
+        gen_rows: list[dict] = []
+        new_gens: list[tuple[int, dict]] = []
+        layout = None
+        prev_basis: list[dict] = []
+        prev_images: dict = {}
+        prev_free: set = set()
         for d in range(D + 1):
-            bl = _Layout()
+            below, layout = layout, _Layout()
             for pos, (_, _, y) in enumerate(upedges):
                 pivot = reducers[pos].pivot
                 for j, t in enumerate(profiles[y]):
                     if d >= t:
-                        bl.add_block(pos, j, reduced_monomials(n, d - t, pivot))
-            blayouts.append(bl)
-            spans.append(
-                [_project_nested(vec, ydict, reducers, bl) for vec in old_gens[d]]
-            )
+                        layout.add_block(pos, j, reduced_monomials(n, d - t, pivot))
+            span = [
+                _project_nested(vec, ydict, reducers, layout) for vec in old_gens[d]
+            ]
 
-        # Minimal generators of the boundary module, degree by degree, with
-        # each generator's boundary row as {upward edge: {block: poly}};
-        # M_d is S_1 M_(d-1) plus the boundary values of degree-d generators.
-        gen_degrees: list[int] = []
-        gen_parts: list[dict] = []
-        mdims: list[int] = []
-        prev_basis: list[dict] = []
-        for d in range(D + 1):
             rr = kernels.IntRREF()
             for b in prev_basis:
                 for i in range(n):
-                    rr.add(_mult_var(b, i, blayouts[d - 1], blayouts[d], reducers))
-            info = blayouts[d].info
-            for s in spans[d]:
+                    rr.add(_mult_var(b, i, below, layout, reducers))
+            for s in span:
                 col = rr.add(s)
                 if col is not None:
-                    parts: dict = {}
-                    for slot, c in rr.pivot_row(col).items():
-                        pos, j, exp = info[slot]
-                        parts.setdefault(pos, {}).setdefault(j, {})[exp] = c
                     gen_degrees.append(d)
-                    gen_parts.append(parts)
-            mdims.append(rr.rank)
+                    gen_rows.append(rr.pivot_row(col))
             prev_basis = [row for _, row in rr.pivot_items()]
-        profiles[x] = tuple(gen_degrees)
+            if final:
+                continue
 
-        if len(profiles) == len(order):
-            # Sections over the upper set of the final vertex; no one
-            # consumes an extension across the full graph.
-            section_dims = tuple(dims)
-            break
-
-        # Generators of the fibre product over the enlarged upper part.
-        new_gens: list[tuple[int, dict]] = []
-        prev_free: set = set()
-        for d in range(D + 1):
-            xslots = []
+            # The x-slot images (see the module docstring), in x-slot
+            # order: generator index, then monomials.
+            images: dict = {}
             for gi, t in enumerate(gen_degrees):
-                if d >= t:
-                    for exp in monomials(n, d - t):
-                        xslots.append((gi, exp))
-            # The x slots come first, so every pivot lands on one (see the
-            # module docstring); old generator i is column nx + i.
+                if t == d:
+                    images[(gi, (0,) * n)] = gen_rows[gi]
+                    continue
+                for exp in monomials(n, d - t):
+                    i = next(k for k, a in enumerate(exp) if a)
+                    low = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+                    images[(gi, exp)] = _mult_var(
+                        prev_images[(gi, low)], i, below, layout, reducers
+                    )
+            prev_images = images
+
+            # The fibre product's kernel in degree d.  The x slots come
+            # first, so every pivot lands on one (see the module
+            # docstring); old generator i is column nx + i.
+            xslots = list(images)
             nx = len(xslots)
             rows: dict = {}
-            for i, srow in enumerate(spans[d]):
+            for i, srow in enumerate(span):
                 for bslot, c in srow.items():
                     rows.setdefault(bslot, {})[nx + i] = -c
-            # Blocks are disjoint and a product has distinct exponents, so
-            # each (boundary slot, x slot) entry is written once.
-            for local, (gi, exp) in enumerate(xslots):
-                parts = gen_parts[gi]
-                for pos, red in enumerate(reducers):
-                    comp = parts.get(pos)
-                    if not comp:
-                        continue
-                    red_mu = red.reduce_monomial(exp)
-                    if not red_mu:
-                        continue
-                    for j, p in comp.items():
-                        index = blayouts[d].lookup[(pos, j)][2]
-                        for pexp, c in poly_mul(red_mu, p).items():
-                            rows.setdefault(index[pexp], {})[local] = c
-            kern = kernels.nullspace_of_rows(rows.values(), nx + len(spans[d]))
+            for local, image in enumerate(images.values()):
+                for bslot, c in image.items():
+                    rows.setdefault(bslot, {})[local] = c
+            kern = kernels.nullspace_of_rows(rows.values(), nx + len(span))
 
             free: set = set()
             for kvec in kern:
@@ -362,7 +352,13 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                 out[x] = xsub
                 new_gens.append((d, out))
             prev_free = free
-            dims[d] += nx - mdims[d]
+            dims[d] += nx - rr.rank
+        profiles[x] = tuple(gen_degrees)
+        if final:
+            # Sections over the upper set of the final vertex; no one
+            # consumes an extension across the full graph.
+            section_dims = tuple(dims)
+            break
         gens = new_gens
 
     unstable = sorted(

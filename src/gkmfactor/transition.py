@@ -71,9 +71,6 @@ class SpecializationMatrix:
     pairs: PairIndex
     entries: tuple[tuple[int, ...], ...]
 
-    def row(self, nu: Vec) -> tuple[int, ...]:
-        return self.entries[self.row_coweights.index(tuple(nu))]
-
     def column_sums(self) -> list[int]:
         return [sum(col) for col in zip(*self.entries)] if self.entries else []
 

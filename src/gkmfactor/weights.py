@@ -32,10 +32,6 @@ class QPolynomial:
     def zero() -> "QPolynomial":
         return QPolynomial(())
 
-    @staticmethod
-    def one() -> "QPolynomial":
-        return QPolynomial((1,))
-
     def at_one(self) -> int:
         return sum(self.coeffs)
 

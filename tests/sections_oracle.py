@@ -55,12 +55,11 @@ class GradedSectionSpace:
                     diff: dict = {}
                     for key, sign in ((u, 1), (v, -1)):
                         for j, t in enumerate(self.stalk_degrees[key]):
-                            block = layout.lookup.get((key, j))
-                            if block is None:
+                            index = layout.lookup.get((key, j))
+                            if index is None:
                                 continue
-                            offset, monos, _ = block
-                            for i, exp in enumerate(monos):
-                                c = vec.get(offset + i)
+                            for exp, slot in index.items():
+                                c = vec.get(slot)
                                 if c:
                                     diff[(j, exp)] = diff.get((j, exp), 0) + sign * c
                     by_gen: dict = {}
@@ -120,17 +119,15 @@ def section_space(g: MomentGraph, upper, stalks: dict, D: int) -> GradedSectionS
                     continue
                 rindex = {m: i for i, m in enumerate(reduced_monomials(n, d - t, red.pivot))}
                 for key, sign in ((u, 1), (v, -1)):
-                    block = layout.lookup[(key, j)]
-                    offset, monos, _ = block
-                    for i, exp in enumerate(monos):
+                    for exp, slot in layout.lookup[(key, j)].items():
                         for rexp, c in red.reduce_monomial(exp).items():
                             rkey = (id(e), j, rindex[rexp])
                             row = rows.setdefault(rkey, {})
-                            w = row.get(offset + i, 0) + sign * c
+                            w = row.get(slot, 0) + sign * c
                             if w:
-                                row[offset + i] = w
-                            elif offset + i in row:
-                                del row[offset + i]
+                                row[slot] = w
+                            elif slot in row:
+                                del row[slot]
         kern = kernels.nullspace_of_rows(rows.values(), layout.total)
         layouts.append(layout)
         bases.append(kern)

@@ -92,7 +92,8 @@ def test_oversized_refusal_mentions_estimate(capsys):
     assert "estimated" in err and "cells" in err
 
 
-def test_oversized_refusal_builds_no_graph(monkeypatch, capsys):
+@pytest.fixture
+def no_graph(monkeypatch):
     from gkmfactor import momentgraph, stalks
 
     def no_graph(tr):
@@ -100,10 +101,23 @@ def test_oversized_refusal_builds_no_graph(monkeypatch, capsys):
 
     for module in (cli, momentgraph, stalks):
         monkeypatch.setattr(module, "build_graph", no_graph)
+
+
+def test_oversized_refusal_builds_no_graph(no_graph, capsys):
     code, out = capture(["stalks", "--type", "E", "--rank", "6", "--coweight", "theta"])
     assert code == 1 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: refusing: estimated ") and "cells at degree bound 12" in err
+
+
+def test_default_ceiling_refuses_d5_adjoint_column(no_graph, capsys):
+    # 52,767 estimated cells: such a column ran for minutes, so the
+    # default ceiling refuses it up front.
+    code, out = capture(["stalks", "--type", "D", "--rank", "5", "--coweight", "theta"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing: estimated 52767 coefficient cells at degree bound 8")
+    assert "exceeds --max-cells 20000" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -119,6 +119,21 @@ def test_adjoint_record_caps_oversized():
     assert "cap" in rec.numerator_source
 
 
+def test_adjoint_record_default_cap_refuses_a6(monkeypatch):
+    # The A6 adjoint column (73,788 estimated cells) is over the default
+    # ceiling, so stalk mode tags the analytic value and runs no column.
+    from gkmfactor import efficiency, stalks
+
+    def no_column(*args, **kwargs):
+        raise AssertionError("a column was run")
+
+    monkeypatch.setattr(efficiency, "stalk_ranks", no_column)
+    monkeypatch.setattr(stalks, "run_column", no_column)
+    rec = adjoint_record("A", 6, mode="stalk")
+    assert rec.geometric_rank == 6
+    assert rec.numerator_source == "analytic (stalk system ~73788 cells exceeds cap 20000)"
+
+
 def test_series_report_monotone():
     report = series_report(8)
     assert report.ok

@@ -1,8 +1,11 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, and no
+module defines a private function or class that no module reads.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree.  A name counts as read when some expression loads it or when it
-is listed in the module's ``__all__`` (a re-export).
+is listed in the module's ``__all__`` (a re-export).  A module-level
+private definition (``_name``) also counts as read when some module
+loads it as an attribute or imports it by name.
 """
 
 import ast
@@ -31,6 +34,49 @@ def unused_imports(source: str) -> list:
         ):
             read.update(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def unread_private_definitions(sources: dict) -> list:
+    """(module, line, name) of each module-level private function or
+    class that none of ``sources`` (module name -> source) reads."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((module, node.lineno, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_finds_an_unread_private_definition():
+    sources = {
+        "a": (
+            "def _used():\n    pass\n"
+            "def _imported():\n    pass\n"
+            "def _dead():\n    pass\n"
+            "class _Gone:\n    def _method(self):\n        pass\n"
+            "x = _used()\n"
+        ),
+        "b": "from .a import _imported\n",
+    }
+    assert unread_private_definitions(sources) == [("a", 5, "_dead"), ("a", 7, "_Gone")]
+
+
+def test_no_unread_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_definitions(sources) == []
 
 
 def test_finds_an_unused_import():

@@ -7,7 +7,11 @@ The A2 adjoint column's work counts pin the engine's current
 elimination work; a change that alters that work updates them.  The
 row and cell counts are those of carrying sections as module
 generators: with full per-degree section bases they were 483 rows
-added and 1815 nullspace cells.
+added and 1815 nullspace cells.  The polynomial product count pins one
+multiplication path in ``run_column``: boundary values are multiplied
+slot-wise by a variable, and the 3 remaining products are the powers
+``LinearFormReducer`` builds for its own reductions.  With a second,
+polynomial-product path for the extension system it was 129.
 """
 
 import subprocess
@@ -35,6 +39,7 @@ assert counts["kernels.rows_added"] == 273, counts
 assert counts["kernels.rows_independent"] == 171, counts
 assert counts["kernels.nullspace_calls"] == 20, counts
 assert counts["kernels.nullspace_cells"] == 648, counts
+assert counts["poly.poly_mul.calls"] == 3, counts
 assert counts["stalks.run_column.calls"] == 1, counts
 """
 
