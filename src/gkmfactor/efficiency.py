@@ -191,9 +191,17 @@ class SeriesReport:
 
 def series_specs(max_rank: int) -> list[tuple[str, int]]:
     """The series rows A_1..A_max, D_3..D_max and E_6..E_8 as
-    ``(type, rank)`` pairs."""
+    ``(type, rank)`` pairs.  Raises :class:`ValueError` when a row is
+    larger than :func:`rootsystem.build` constructs, before any build."""
     if max_rank < 1:
         raise ValueError("max_rank must be at least 1")
+    for t in ("D", "A") if max_rank >= 3 else ("A",):
+        count = rsys.root_count(t, max_rank)
+        if count > rsys.MAX_ROOTS:
+            raise ValueError(
+                f"max_rank {max_rank} includes {t}{max_rank} with {count} roots; "
+                f"at most {rsys.MAX_ROOTS} are supported"
+            )
     return (
         [("A", l) for l in range(1, max_rank + 1)]
         + [("D", l) for l in range(3, max_rank + 1)]

@@ -30,6 +30,13 @@ class UnsupportedRootSystem(ValueError):
     pass
 
 
+# The most roots :func:`build` accepts; A31 (992 roots) and D22 (924)
+# are the largest of their families below it.  The reflection closure's
+# cost grows about as rank^4 (A30 takes seconds, A60 about a minute), so
+# a larger system is refused before the closure starts.
+MAX_ROOTS = 1000
+
+
 def root_count(type_label: str, rank: int) -> int:
     """Closed-form root count with the same support validation as
     :func:`build`; cross-checked against reflection closure in tests."""
@@ -124,9 +131,16 @@ def build(type_label: str, rank: int) -> RootSystem:
     """Construct the root system, closing the simple roots under reflection.
 
     Raises :class:`UnsupportedRootSystem` for anything outside
-    (A, l >= 1), (D, l >= 3), (E, 6..8).  The root count is checked
-    against the closed-form cardinality for the type.
+    (A, l >= 1), (D, l >= 3), (E, 6..8), and :class:`ValueError` for a
+    system with more than :data:`MAX_ROOTS` roots, before any closure.
+    The root count is checked against the closed-form cardinality for
+    the type.
     """
+    expected = root_count(type_label, rank)
+    if expected > MAX_ROOTS:
+        raise ValueError(
+            f"{type_label}{rank} has {expected} roots; at most {MAX_ROOTS} are supported"
+        )
     simples, m = _simple_roots(type_label, rank)
     norm_sq = _dot(simples[0], simples[0])
     for a in simples:
@@ -149,7 +163,6 @@ def build(type_label: str, rank: int) -> RootSystem:
         roots |= new
         frontier = new
 
-    expected = root_count(type_label, rank)
     if len(roots) != expected:
         raise AssertionError(
             f"reflection closure produced {len(roots)} roots, expected {expected}"

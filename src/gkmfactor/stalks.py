@@ -30,17 +30,43 @@ values of the degree-``d`` generators, and only those are projected.
 
 A boundary value has one form: a flat row over the slots of its
 degree's layout, one block per (upward edge, neighbor's generator) on
-the pivot-free monomials of the edge's quotient ring.  Each vertex
-takes one pass over the degrees.  In degree ``d`` the generator search
-eliminates ``S_1`` times the reduced basis of ``M_(d-1)``, each row
-multiplied slot-wise by a variable (:func:`_mult_var`), followed by the
-projected degree-``d`` section generators.  The fibre product's system
-then has the images of the ``x`` slots and the projected generators as
-its columns.  The image of slot ``(gi, exp)`` is the generator's pivot
-row when ``exp`` is zero, and otherwise the variable of ``exp``'s first
-nonzero exponent times the image of the slot one degree lower.  The
-reduced basis, not those images, feeds the generator search, because
-unreduced image rows fill in.
+the pivot-free monomials of the edge's quotient ring.  A row is
+multiplied by a variable slot-wise (:func:`_mult_var`), through a slot
+table kept on the row's layout: for each (slot, variable) a tuple of
+``(target slot, coefficient)`` pairs in the layout one degree up, built
+on first use and shared by every later product at that vertex.
+
+Each vertex takes one pass over the degrees.  In degree ``d`` the
+generator search eliminates staged ``S_1`` products of the rows kept in
+degree ``d - 1``, followed by the projected degree-``d`` section
+generators.  Every kept row carries a stage: a row that became
+independent in pass ``i`` has stage ``i``, and the row of a new
+generator has stage ``n - 1``.  Degree ``d`` runs passes
+``i = n - 1, ..., 0``, and pass ``i`` feeds ``x_i b`` only for the kept
+rows ``b`` of stage at least ``i``.  The row kept is the residual as
+inserted, the pivot row read right after the insert.  This still spans
+``S_1 M_(d-1)``.  Let ``V_s`` be the span of the passes ``>= s`` of a
+degree and ``W_s = G + V_s``, with ``G`` the span of the generator
+rows; the kept rows of stage ``>= s`` span ``W_s``, since a residual
+from pass ``i`` lies in ``V_i`` (everything inserted before it came
+from a pass ``>= i``).  Induction on the degree gives
+``x_l W_s`` in ``V_s`` one degree up for every ``l >= s``: write an
+element of ``x_l V_s`` as a sum of ``x_l x_j u`` with ``j >= s`` and
+``u`` in ``W_j``; if ``l >= j`` it is ``x_j (x_l u)`` with ``x_l u`` in
+``V_j``, inside ``W_j``, and if ``l < j`` it is ``x_l (x_j u)`` with
+``x_j u`` in ``V_j``, inside ``W_l``.  So ``S_1 M_d`` is the sum of the
+``x_i W_i``, as ``M_d = W_0``.  The products of a degree number
+little more than ``dim S_1 M_(d-1)``, not ``n dim M_(d-1)``, and most
+of them are independent.  :class:`kernels.IntRREF` is canonical, so its
+rows, the generators' pivot rows and everything downstream are the same
+as with the full products.
+
+The fibre product's system then has the images of the ``x`` slots and
+the projected generators as its columns.  The image of slot
+``(gi, exp)`` is the generator's pivot row when ``exp`` is zero, and
+otherwise the variable of ``exp``'s first nonzero exponent times the
+image of the slot one degree lower.  The kept rows, not those images,
+feed the generator search, because unreduced image rows fill in.
 
 The fibre product's degree-``d`` kernel is solved over the slots of the
 new stalk ``F(x)``, ordered before the degree-``d`` old generators.
@@ -97,15 +123,19 @@ class _Layout:
     """Contiguous slot blocks of one degree, one per (key, generator) pair.
 
     ``lookup[(key, gen)]`` is a block's slot index ``{monomial: slot}``;
-    ``info[slot]`` is ``(key, gen, monomial)``.
+    ``info[slot]`` is ``(key, gen, monomial)``.  ``products[var][slot]``
+    is the slot's image under the variable ``var`` in the layout one
+    degree up, a tuple of ``(slot, coefficient)`` pairs that
+    :func:`_mult_var` fills in on first use.
     """
 
-    __slots__ = ("lookup", "info", "total")
+    __slots__ = ("lookup", "info", "total", "products")
 
     def __init__(self):
         self.lookup = {}
         self.info = []
         self.total = 0
+        self.products = {}
 
     def add_block(self, key, gen_idx, monos):
         self.lookup[(key, gen_idx)] = {m: self.total + i for i, m in enumerate(monos)}
@@ -177,17 +207,26 @@ def _project_nested(vec, ydict, reducers, blayout):
 
 
 def _mult_var(row, var, prev_layout, cur_layout, reducers):
-    """Multiply a boundary vector by a polynomial variable, component-wise
-    in each edge's quotient ring."""
+    """Multiply a boundary row by a polynomial variable, component-wise
+    in each edge's quotient ring, through ``prev_layout``'s slot table.
+
+    ``cur_layout`` must be the layout one degree above ``prev_layout``
+    at the same vertex, the one its slot tables point into.
+    """
+    table = prev_layout.products.get(var)
+    if table is None:
+        table = prev_layout.products[var] = [None] * prev_layout.total
     out: dict = {}
-    info = prev_layout.info
     for slot, c in row.items():
-        pos, j, exp = info[slot]
-        vf = reducers[pos].variable_form(var)
-        index = cur_layout.lookup[(pos, j)]
-        for ev, cv in vf.items():
-            nexp = tuple(a + b for a, b in zip(exp, ev))
-            ns = index[nexp]
+        targets = table[slot]
+        if targets is None:
+            pos, j, exp = prev_layout.info[slot]
+            index = cur_layout.lookup[(pos, j)]
+            targets = table[slot] = tuple(
+                (index[tuple(a + b for a, b in zip(exp, ev))], cv)
+                for ev, cv in reducers[pos].variable_form(var).items()
+            )
+        for ns, cv in targets:
             w = out.get(ns, 0) + c * cv
             if w:
                 out[ns] = w
@@ -256,7 +295,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         gen_rows: list[dict] = []
         new_gens: list[tuple[int, dict]] = []
         layout = None
-        prev_basis: list[dict] = []
+        prev_staged: list[tuple[int, dict]] = []
         prev_images: dict = {}
         prev_free: set = set()
         for d in range(D + 1):
@@ -270,16 +309,24 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                 _project_nested(vec, ydict, reducers, layout) for vec in old_gens[d]
             ]
 
+            # Staged S_1 products (see the module docstring): pass i
+            # multiplies by x_i the rows of degree d - 1 with stage >= i,
+            # and a row kept for degree d + 1 is its residual as inserted.
             rr = kernels.IntRREF()
-            for b in prev_basis:
-                for i in range(n):
-                    rr.add(_mult_var(b, i, below, layout, reducers))
+            staged: list[tuple[int, dict]] = []
+            for i in range(n - 1, -1, -1):
+                for stage, b in prev_staged:
+                    if stage >= i:
+                        col = rr.add(_mult_var(b, i, below, layout, reducers))
+                        if col is not None:
+                            staged.append((i, rr.pivot_row(col)))
             for s in span:
                 col = rr.add(s)
                 if col is not None:
                     gen_degrees.append(d)
                     gen_rows.append(rr.pivot_row(col))
-            prev_basis = [row for _, row in rr.pivot_items()]
+                    staged.append((n - 1, gen_rows[-1]))
+            prev_staged = staged
             if final:
                 continue
 

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from gkmfactor import cli
+from gkmfactor import rootsystem as rsys
 from gkmfactor.cli import run
 
 COMMANDS = [
@@ -290,3 +292,55 @@ def test_eta_series_rejects_max_rank_before_any_worker(monkeypatch, pool_request
     assert code == 1 and out == ""
     assert pool_requests == []
     assert "max_rank must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["roots", "--type", "A", "--rank", "200"], "A200 has 40200 roots"),
+        (["roots", "--type", "D", "--rank", "23"], "D23 has 1012 roots"),
+        (["mult", "--type", "A", "--rank", "32", "--highest", "theta", "--weight", "zero"],
+         "A32 has 1056 roots"),
+        (["eta", "--type", "D", "--rank", "40"], "D40 has 3120 roots"),
+    ],
+    ids=["roots-A200", "roots-D23", "mult-A32", "eta-D40"],
+)
+def test_oversized_root_system_refused(argv, message, capsys):
+    # The reflection closure of A200 would never finish; the refusal
+    # comes from the closed-form root count.
+    start = time.perf_counter()
+    code, out = capture(argv)
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_oversized_root_system_refused_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkmfactor.cli", "roots", "--type", "A", "--rank", "200"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "40200 roots" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("max_rank,message", [("23", "D23 with 1012 roots"),
+                                              ("1000000000", "roots; at most 1000")])
+def test_eta_series_refuses_oversized_max_rank_before_any_build(
+    monkeypatch, pool_requests, capsys, max_rank, message
+):
+    def no_build(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(rsys, "build", no_build)
+    for threads in ("1", "2"):
+        start = time.perf_counter()
+        code, out = capture(["--threads", threads, "eta", "--series", "all", "--max-rank", max_rank])
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == ""
+        assert message in capsys.readouterr().err
+    assert pool_requests == []

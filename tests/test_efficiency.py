@@ -156,3 +156,12 @@ def test_series_specs_rows():
     assert [(r.type_label, r.rank) for r in series_report(3).records] == series_specs(3)
     with pytest.raises(ValueError):
         series_specs(0)
+
+
+def test_series_specs_refuses_rows_too_large_to_build():
+    # D_l outgrows A_l, so D22 (924 roots) is the largest series row.
+    assert series_specs(22)[-4:] == [("D", 22), ("E", 6), ("E", 7), ("E", 8)]
+    for max_rank, row in [(23, "D23 with 1012 roots"), (32, "D32 with 1984 roots"),
+                          (10**9, "roots; at most 1000")]:
+        with pytest.raises(ValueError, match=row):
+            series_specs(max_rank)

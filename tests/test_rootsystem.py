@@ -203,3 +203,18 @@ def test_reflection_preserves_pairing_norm(spec, seed):
     w = rsys.reflect(rs, v, a)
     assert sum(x * x for x in w) == sum(x * x for x in v)
     assert rsys.reflect(rs, w, a) == v
+
+
+def test_oversized_system_refused_before_closure(monkeypatch):
+    # A32 and D23 are the smallest of their families above MAX_ROOTS.
+    for t, l, count in [("A", 32, 1056), ("D", 23, 1012), ("A", 200, 40200)]:
+        with pytest.raises(ValueError, match=f"{t}{l} has {count} roots") as info:
+            rsys.build(t, l)
+        assert not isinstance(info.value, rsys.UnsupportedRootSystem)
+    assert rsys.root_count("A", 31) <= rsys.MAX_ROOTS < rsys.root_count("A", 32)
+    assert rsys.root_count("D", 22) <= rsys.MAX_ROOTS < rsys.root_count("D", 23)
+    # The bound is inclusive: a system with exactly MAX_ROOTS roots builds.
+    monkeypatch.setattr(rsys, "MAX_ROOTS", 12)
+    assert rsys.build("A", 3).num_roots == 12
+    with pytest.raises(ValueError, match="A4 has 20 roots"):
+        rsys.build("A", 4)

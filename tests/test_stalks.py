@@ -6,6 +6,7 @@ vertex of every truncation, so the recursion is oracle-checked in full,
 not just at the worked values.
 """
 
+import hashlib
 import random
 from dataclasses import FrozenInstanceError
 from math import comb
@@ -408,3 +409,38 @@ def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
     with pytest.raises(AssertionError, match="two old sections"):
         run_column(g, D)
     assert len(old_columns) > 1 and old_columns[-1] >= 2
+
+
+# sha256 over every extension system of a column: each ``(rows, ncols)``
+# handed to ``kernels.nullspace_of_rows`` and each kernel vector it
+# returns, in call order, with a system's rows and every row's entries
+# sorted.  Recorded from the engine before staged products, so any change
+# to a generator's pivot row or to an x slot's image fails here.
+EXTENSION_DIGESTS = {
+    ("A", 2, "theta"):
+        "2edd9373af24d4c8b2c3cbf5b07815e2ccb7abdc55c5120e5e0d56f8d2d4c63a",
+    ("A", 2, "2theta"):
+        "c0235fdbd7668d6b24d69ae9b8c0997d0f0dc87589a12bab257d34f285057541",
+    ("A", 3, "theta"):
+        "d7ca3012e270a8410bb706bac513f1fd383754740d84fc56599ec1fe2ef5e4a1",
+}
+
+
+@pytest.mark.parametrize("t,l,name", sorted(EXTENSION_DIGESTS), ids=lambda x: str(x))
+def test_extension_systems_digest(t, l, name, monkeypatch):
+    rs = rsys.build(t, l)
+    tr = Truncation(rs, _coweight(rs, name))
+    real = kernels.nullspace_of_rows
+    h = hashlib.sha256()
+
+    def digest(rows, ncols):
+        rows = list(rows)
+        kern = real(rows, ncols)
+        system = sorted(tuple(sorted(r.items())) for r in rows)
+        h.update(repr((ncols, system)).encode())
+        h.update(repr([sorted(v.items()) for v in kern]).encode())
+        return kern
+
+    monkeypatch.setattr(kernels, "nullspace_of_rows", digest)
+    run_column(build_graph(tr), default_degree_bound(tr))
+    assert h.hexdigest() == EXTENSION_DIGESTS[(t, l, name)]
