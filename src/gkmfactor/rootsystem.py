@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 Vec = tuple[int, ...]
 
@@ -49,6 +50,16 @@ def root_count(type_label: str, rank: int) -> int:
     raise UnsupportedRootSystem(
         f"unsupported system {type_label}{rank} (need A>=1, D>=3 or E6..E8)"
     )
+
+
+def weyl_group_order(type_label: str, rank: int) -> int:
+    """Closed-form Weyl group order, the size of a regular orbit."""
+    root_count(type_label, rank)  # the same support validation
+    if type_label == "A":
+        return factorial(rank + 1)
+    if type_label == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return {6: 51_840, 7: 2_903_040, 8: 696_729_600}[rank]
 
 
 def _simple_roots(type_label: str, rank: int) -> tuple[list[Vec], int]:

@@ -15,10 +15,10 @@ graph is built top down along a linear extension of the graph order:
 
 Everything is computed degree by degree in exact integer arithmetic
 (:mod:`gkmfactor.kernels`).  The sections over the processed upper set
-``I`` are an S-module, and they are kept as one: a list of module
-generators ``(degree, section)`` plus the dimension of every degree,
-never a vector-space basis per degree.  Processing a vertex solves only
-the congruences along its own upward edges, against those generators.
+``I`` are an S-module, kept as one: per degree its generators, flat rows
+over the degree's section slots ``(vertex, generator index, monomial)``,
+and its dimension, never a vector-space basis.  Processing a vertex
+solves only the congruences along its upward edges.
 
 Each vertex step is the fibre product
 ``Gamma(I + {x}) = Gamma(I) x_{M_x} F(x)`` (Braden-MacPherson, *From
@@ -28,13 +28,13 @@ moment graphs to intersection cohomology*, Math. Ann. 2001; Fiebig,
 module ``M_x`` in degree ``d`` is ``S_1 M_(d-1)`` plus the boundary
 values of the degree-``d`` generators, and only those are projected.
 
-A boundary value has one form: a flat row over the slots of its
-degree's layout, one block per (upward edge, neighbor's generator) on
-the pivot-free monomials of the edge's quotient ring.  A row is
-multiplied by a variable slot-wise (:func:`_mult_var`), through a slot
-table kept on the row's layout: for each (slot, variable) a tuple of
-``(target slot, coefficient)`` pairs in the layout one degree up, built
-on first use and shared by every later product at that vertex.
+A boundary value has one form: a flat row over the slots of its degree's
+layout, one block per (upward edge, neighbor's generator) on the
+pivot-free monomials of the edge's quotient ring.  Rows map through slot
+tables built on first use (:func:`_apply`): per (layout, variable) into
+the layout one degree up (:func:`_mult_var`), and per (vertex, degree)
+for the projection, which sends a section slot at an upward neighbor to
+its monomial reduced modulo the edge label, any other slot to nothing.
 
 Each vertex takes one pass over the degrees.  In degree ``d`` the
 generator search eliminates staged ``S_1`` products of the rows kept in
@@ -61,30 +61,29 @@ of them are independent.  :class:`kernels.IntRREF` is canonical, so its
 rows, the generators' pivot rows and everything downstream are the same
 as with the full products.
 
-The fibre product's system then has the images of the ``x`` slots and
-the projected generators as its columns.  The image of slot
-``(gi, exp)`` is the generator's pivot row when ``exp`` is zero, and
-otherwise the variable of ``exp``'s first nonzero exponent times the
-image of the slot one degree lower.  The kept rows, not those images,
-feed the generator search, because unreduced image rows fill in.
-
-The fibre product's degree-``d`` kernel is solved over the slots of the
-new stalk ``F(x)``, ordered before the degree-``d`` old generators.
-Because ``F(x) -> M_x`` is onto, every pivot lands on an ``x`` slot, so
-each kernel vector is either one old generator, scaled by a positive
-integer and extended by a component at ``x``, or an element of
-``ker(F(x) -> M_x)`` supported at ``x`` alone.  The extended generators
-and ``ker phi`` together generate the new sections.  Of the ``ker phi``
-vectors only those whose leading slot is not a variable times the
-leading slot of one in the degree below are kept; this is a
-Groebner-type pruning.  The leading slot of a kernel vector is its free
-column, its largest, and the x-slot order (generator index, then
-monomials lex descending) is compatible with multiplying by a monomial,
-so the kept vectors still generate ``ker phi``.  Since both maps onto
-``M_x`` are onto, ``dim Gamma_d`` grows by ``dim F(x)_d - dim M_d``.
-Old generators are shared between steps and never mutated; the nested
-dicts are only shallow-copied or, for a coefficient other than one,
-rescaled.
+The fibre product's degree-``d`` system has as its columns the images of
+the slots of the new stalk ``F(x)``, followed by the projected
+degree-``d`` generators.  The image of ``x`` slot ``(gi, exp)`` is the
+generator's pivot row when ``exp`` is zero, and otherwise the variable
+of ``exp``'s first nonzero exponent times the image of the slot one
+degree lower.  The kept rows, not those images, feed the generator
+search, because unreduced image rows fill in.  Because ``F(x) -> M_x``
+is onto, every pivot lands on an ``x`` slot, so each kernel vector is
+either one old generator, scaled by a positive integer and extended by a
+component at ``x``, or an element of ``ker(F(x) -> M_x)`` supported at
+``x`` alone.  The extended generators and ``ker phi`` together generate
+the new sections.  Of the ``ker phi`` vectors only those whose leading
+slot is not a variable times the leading slot of one in the degree below
+are kept; this is a Groebner-type pruning.  The leading slot of a kernel
+vector is its free column, its largest, and the x-slot order (generator
+index, then monomials lex descending) is compatible with multiplying by
+a monomial, so the kept vectors still generate ``ker phi``.  Since both
+maps onto ``M_x`` are onto, ``dim Gamma_d`` grows by
+``dim F(x)_d - dim M_d``.  The ``x`` slots are then appended to the
+degree's section slots, so kernel column ``col < nx`` is section slot
+``base + col``.  Old generators are never mutated: one with no ``x``
+part is shared, and an extended one is a copy, rescaled for a
+coefficient other than one.
 
 Degree bound.  Generator degrees of a stalk are bounded by half the
 complex dimension of the truncation: intersection cohomology stalks at
@@ -123,25 +122,21 @@ class _Layout:
     """Contiguous slot blocks of one degree, one per (key, generator) pair.
 
     ``lookup[(key, gen)]`` is a block's slot index ``{monomial: slot}``;
-    ``info[slot]`` is ``(key, gen, monomial)``.  ``products[var][slot]``
-    is the slot's image under the variable ``var`` in the layout one
-    degree up, a tuple of ``(slot, coefficient)`` pairs that
-    :func:`_mult_var` fills in on first use.
+    ``info[slot]`` is ``(key, gen, monomial)``.  ``products[var]`` is
+    the slot table (see :func:`_apply`) of the variable ``var`` into the
+    layout one degree up, which :func:`_mult_var` fills in on first use.
     """
 
-    __slots__ = ("lookup", "info", "total", "products")
+    __slots__ = ("lookup", "info", "products")
 
     def __init__(self):
         self.lookup = {}
         self.info = []
-        self.total = 0
         self.products = {}
 
     def add_block(self, key, gen_idx, monos):
-        self.lookup[(key, gen_idx)] = {m: self.total + i for i, m in enumerate(monos)}
-        for m in monos:
-            self.info.append((key, gen_idx, m))
-        self.total += len(monos)
+        self.lookup[(key, gen_idx)] = {m: len(self.info) + i for i, m in enumerate(monos)}
+        self.info.extend((key, gen_idx, m) for m in monos)
 
 
 @dataclass(frozen=True)
@@ -174,58 +169,15 @@ def estimated_cells(tr: Truncation) -> tuple[int, int]:
     return len(tr.vertex_set()) * comb(D + n - 1, n - 1), D
 
 
-def _project_nested(vec, ydict, reducers, blayout):
-    """Boundary value of a nested section vector {vertex: {(gen, exp): c}}.
-
-    Only the components at the upper neighbors are read, which keeps the
-    cost proportional to the local valency rather than the full support.
-    """
-    out: dict = {}
-    for y, pos in ydict.items():
-        sub = vec.get(y)
-        if not sub:
-            continue
-        polys: dict = {}
-        for (j, exp), c in sub.items():
-            polys.setdefault(j, {})[exp] = c
-        red = reducers[pos]
-        for j, poly_dict in polys.items():
-            rp = red.reduce_poly(poly_dict)
-            if not rp:
-                continue
-            index = blayout.lookup.get((pos, j))
-            if index is None:
-                continue
-            for exp, c in rp.items():
-                slot = index[exp]
-                w = out.get(slot, 0) + c
-                if w:
-                    out[slot] = w
-                elif slot in out:
-                    del out[slot]
-    return out
-
-
-def _mult_var(row, var, prev_layout, cur_layout, reducers):
-    """Multiply a boundary row by a polynomial variable, component-wise
-    in each edge's quotient ring, through ``prev_layout``'s slot table.
-
-    ``cur_layout`` must be the layout one degree above ``prev_layout``
-    at the same vertex, the one its slot tables point into.
-    """
-    table = prev_layout.products.get(var)
-    if table is None:
-        table = prev_layout.products[var] = [None] * prev_layout.total
+def _apply(row, table, image):
+    """``sum(c * table[slot])`` over a row's ``{slot: c}`` entries.  A slot
+    table entry is a tuple of ``(target slot, coefficient)`` pairs; one
+    still ``None`` is set to ``image(slot)`` first, and kept for reuse."""
     out: dict = {}
     for slot, c in row.items():
         targets = table[slot]
         if targets is None:
-            pos, j, exp = prev_layout.info[slot]
-            index = cur_layout.lookup[(pos, j)]
-            targets = table[slot] = tuple(
-                (index[tuple(a + b for a, b in zip(exp, ev))], cv)
-                for ev, cv in reducers[pos].variable_form(var).items()
-            )
+            targets = table[slot] = image(slot)
         for ns, cv in targets:
             w = out.get(ns, 0) + c * cv
             if w:
@@ -233,6 +185,43 @@ def _mult_var(row, var, prev_layout, cur_layout, reducers):
             elif ns in out:
                 del out[ns]
     return out
+
+
+def _projection(slots, ydict, reducers, layout):
+    """Image of a section slot ``(y, gen, monomial)`` in a boundary layout:
+    the monomial reduced modulo the label of the edge to ``y``, in block
+    ``(pos, gen)``, or nothing when ``y`` is not an upward neighbor."""
+
+    def image(slot):
+        y, j, mono = slots[slot]
+        pos = ydict.get(y)
+        if pos is None:
+            return ()
+        index = layout.lookup[(pos, j)]
+        return tuple(
+            (index[m], c) for m, c in reducers[pos].reduce_monomial(mono).items()
+        )
+
+    return image
+
+
+def _mult_var(row, var, prev_layout, cur_layout, reducers):
+    """Multiply a boundary row by a polynomial variable, component-wise
+    in each edge's quotient ring, through ``prev_layout``'s slot table
+    into ``cur_layout``, the layout one degree up at the same vertex."""
+
+    def image(slot):
+        pos, j, exp = prev_layout.info[slot]
+        index = cur_layout.lookup[(pos, j)]
+        return tuple(
+            (index[tuple(a + b for a, b in zip(exp, ev))], cv)
+            for ev, cv in reducers[pos].variable_form(var).items()
+        )
+
+    table = prev_layout.products.get(var)
+    if table is None:
+        table = prev_layout.products[var] = [None] * len(prev_layout.info)
+    return _apply(row, table, image)
 
 
 def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
@@ -253,22 +242,19 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     if any(a > b for a, b in zip(levels, levels[1:])):
         raise ValueError("extension must not invert the graph order's levels")
 
-    # Sections over the processed upper set are kept as an S-module: a
-    # list of generators (degree, nested dict {vertex: {(gen, exp): int}})
-    # shared (never mutated) between steps, plus dims[d] = dim Gamma_d.
-    # A vertex is processed once it has a profile (its generator degrees).
-    gens: list[tuple[int, dict]] = []
-    dims: list[int] = []
-    profiles: dict[Vec, tuple[int, ...]] = {}
+    # Sections over the processed upper set, as an S-module: gens[d] holds
+    # the degree-d generators, flat rows {slot: int} over the section slots
+    # slots[d] = [(vertex, generator index, monomial)], and dims[d] is
+    # dim Gamma_d.  A vertex is processed once it has a profile.
+    slots: list[list[tuple]] = [[] for _ in range(D + 1)]
+    gens: list[list[dict]] = [[] for _ in range(D + 1)]
+    slots[0].append((order[-1], 0, (0,) * n))
+    gens[0].append({0: 1})
+    dims = [len(monomials(n, d)) for d in range(D + 1)]
+    profiles: dict[Vec, tuple[int, ...]] = {order[-1]: (0,)}
     section_dims: tuple[int, ...] = ()
 
-    for x in reversed(order):
-        if not profiles:
-            profiles[x] = (0,)
-            gens.append((0, {x: {(0, (0,) * n): 1}}))
-            dims = [len(monomials(n, d)) for d in range(D + 1)]
-            continue
-
+    for x in reversed(order[:-1]):
         xi = g.vindex[x]
         upedges = []
         for k in sorted(g.adjacency[xi]):
@@ -287,13 +273,9 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         # One pass over the degrees: in degree d the boundary layout, the
         # boundary values of the degree-d section generators, the minimal
         # generators of M_d and, except at the final vertex, the kernel.
-        old_gens: list[list[dict]] = [[] for _ in range(D + 1)]
-        for t, vec in gens:
-            old_gens[t].append(vec)
-        final = len(profiles) + 1 == len(order)
+        final = x == order[0]
         gen_degrees: list[int] = []
         gen_rows: list[dict] = []
-        new_gens: list[tuple[int, dict]] = []
         layout = None
         prev_staged: list[tuple[int, dict]] = []
         prev_images: dict = {}
@@ -305,9 +287,9 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                 for j, t in enumerate(profiles[y]):
                     if d >= t:
                         layout.add_block(pos, j, reduced_monomials(n, d - t, pivot))
-            span = [
-                _project_nested(vec, ydict, reducers, layout) for vec in old_gens[d]
-            ]
+            project = _projection(slots[d], ydict, reducers, layout)
+            table = [None] * len(slots[d])
+            span = [_apply(vec, table, project) for vec in gens[d]]
 
             # Staged S_1 products (see the module docstring): pass i
             # multiplies by x_i the rows of degree d - 1 with stage >= i,
@@ -347,27 +329,30 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
 
             # The fibre product's kernel in degree d.  The x slots come
             # first, so every pivot lands on one (see the module
-            # docstring); old generator i is column nx + i.
+            # docstring); old generator i is column nx + i, and x column
+            # col becomes section slot base + col.
+            base = len(slots[d])
             xslots = list(images)
             nx = len(xslots)
             rows: dict = {}
-            for i, srow in enumerate(span):
-                for bslot, c in srow.items():
-                    rows.setdefault(bslot, {})[nx + i] = -c
-            for local, image in enumerate(images.values()):
+            for col, image in enumerate([*images.values(), *span]):
+                sign = 1 if col < nx else -1
                 for bslot, c in image.items():
-                    rows.setdefault(bslot, {})[local] = c
-            kern = kernels.nullspace_of_rows(rows.values(), nx + len(span))
+                    rows.setdefault(bslot, {})[col] = sign * c
+            # Shortest rows first: the kernel does not depend on the row
+            # order, but the elimination's fill-in does.
+            kern = kernels.nullspace_of_rows(sorted(rows.values(), key=len), nx + len(span))
 
             free: set = set()
+            new_gens: list[dict] = []
             for kvec in kern:
                 old = None
-                xsub: dict = {}
+                xpart: dict = {}
                 for col, c in kvec.items():
                     if col < nx:
-                        xsub[xslots[col]] = c
+                        xpart[base + col] = c
                     elif old is None:
-                        old, coef = old_gens[d][col - nx], c
+                        old, coef = gens[d][col - nx], c
                     else:
                         raise AssertionError(
                             f"kernel vector at {x} in degree {d} touches two "
@@ -384,20 +369,14 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         for i in range(n)
                         if exp[i]
                     ):
-                        new_gens.append((d, {x: xsub}))
+                        new_gens.append(xpart)
                     continue
-                if not xsub:
-                    new_gens.append((d, old))
-                    continue
-                if coef == 1:
-                    out = dict(old)
-                else:
-                    out = {
-                        vk: {key: coef * v for key, v in sub.items()}
-                        for vk, sub in old.items()
-                    }
-                out[x] = xsub
-                new_gens.append((d, out))
+                if xpart:
+                    old = dict(old) if coef == 1 else {k: coef * v for k, v in old.items()}
+                    old.update(xpart)
+                new_gens.append(old)
+            gens[d] = new_gens
+            slots[d].extend((x, gi, exp) for gi, exp in xslots)
             prev_free = free
             dims[d] += nx - rr.rank
         profiles[x] = tuple(gen_degrees)
@@ -406,7 +385,6 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
             # consumes an extension across the full graph.
             section_dims = tuple(dims)
             break
-        gens = new_gens
 
     unstable = sorted(
         v for v, prof in profiles.items() if any(d >= D - 1 for d in prof)

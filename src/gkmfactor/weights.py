@@ -116,12 +116,26 @@ def kostant_partition(nu: Vec, rs: RootSystem, q_graded: bool = False):
     return QPolynomial(poly) if q_graded else sum(poly)
 
 
+# The largest Weyl group whose orbit :func:`weight_multiplicity` walks,
+# |W(E6)|: the E6 and A7 (40,320) adjoint q-analogues at zero take about
+# a minute, A8 (362,880) and D7 (322,560) ran past 150 s.
+MAX_WEYL_ORDER = 51_840
+
+
 def weight_multiplicity(lam: Vec, nu: Vec, rs: RootSystem, q_graded: bool = False):
     """Multiplicity of ``nu`` in the irreducible with highest coweight
     ``lam`` via the alternating Kostant sum; q-graded on request.
 
-    The q-graded value at 1 always equals the plain multiplicity.
+    The q-graded value at 1 always equals the plain multiplicity.  The
+    sum walks the Weyl orbit of ``lam + rho``, so a Weyl group larger
+    than :data:`MAX_WEYL_ORDER` raises :class:`ValueError` up front.
     """
+    order = rsys.weyl_group_order(rs.type_label, rs.rank)
+    if order > MAX_WEYL_ORDER:
+        raise ValueError(
+            f"the Kostant sum over W({rs.type_label}{rs.rank}) walks {order} "
+            f"orbit points; at most {MAX_WEYL_ORDER} are supported"
+        )
     if not rsys.is_dominant(rs, lam):
         raise ValueError("highest coweight must be dominant")
     # Multiplicities are Weyl invariant and the graded version is only
@@ -200,14 +214,6 @@ def freudenthal_weight_table(lam: Vec, rs: RootSystem) -> dict[Vec, int]:
             table[v] = m
     _FREUDENTHAL_MEMO[key] = dict(table)
     return table
-
-
-def kostant_weight_table(lam: Vec, rs: RootSystem) -> dict[Vec, int]:
-    """Weight table via the alternating Kostant sum (cross-check route)."""
-    return {
-        v: weight_multiplicity(lam, v, rs)
-        for v in rsys.weights_of(rs, lam)
-    }
 
 
 def tensor_weight_dim(lam: Vec, mu: Vec, nu: Vec, rs: RootSystem) -> int:

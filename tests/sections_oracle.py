@@ -128,7 +128,7 @@ def section_space(g: MomentGraph, upper, stalks: dict, D: int) -> GradedSectionS
                                 row[slot] = w
                             elif slot in row:
                                 del row[slot]
-        kern = kernels.nullspace_of_rows(rows.values(), layout.total)
+        kern = kernels.nullspace_of_rows(rows.values(), len(layout.info))
         layouts.append(layout)
         bases.append(kern)
     return GradedSectionSpace(

@@ -302,12 +302,16 @@ def test_eta_series_rejects_max_rank_before_any_worker(monkeypatch, pool_request
         (["mult", "--type", "A", "--rank", "32", "--highest", "theta", "--weight", "zero"],
          "A32 has 1056 roots"),
         (["eta", "--type", "D", "--rank", "40"], "D40 has 3120 roots"),
+        (["mult", "--type", "E", "--rank", "8", "--highest", "theta", "--weight", "zero"],
+         "walks 696729600 orbit points"),
     ],
-    ids=["roots-A200", "roots-D23", "mult-A32", "eta-D40"],
+    ids=["roots-A200", "roots-D23", "mult-A32", "eta-D40", "mult-E8"],
 )
 def test_oversized_root_system_refused(argv, message, capsys):
     # The reflection closure of A200 would never finish; the refusal
-    # comes from the closed-form root count.
+    # comes from the closed-form root count.  E8 builds, but the Kostant
+    # sum would walk its whole Weyl group; that refusal comes from the
+    # closed-form group order.
     start = time.perf_counter()
     code, out = capture(argv)
     assert time.perf_counter() - start < 5

@@ -1,11 +1,13 @@
 """No module of the package imports a name it never reads, and no
-module defines a private function or class that no module reads.
+module defines a private function, class or method that no module reads.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree.  A name counts as read when some expression loads it or when it
 is listed in the module's ``__all__`` (a re-export).  A module-level
 private definition (``_name``) also counts as read when some module
-loads it as an attribute or imports it by name.
+loads it as an attribute or imports it by name.  A private method
+(``_name``, not a dunder) of a package class counts as read when some
+module loads it as an attribute.
 """
 
 import ast
@@ -60,6 +62,28 @@ def unread_private_definitions(sources: dict) -> list:
     return sorted(d for d in defined if d[2] not in read)
 
 
+def unread_private_methods(sources: dict) -> list:
+    """(module, line, name) of each private method of a class in
+    ``sources`` (module name -> source) that no module loads as an
+    attribute."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (module, item.lineno, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name.startswith("_")
+                    and not item.name.startswith("__")
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
 def test_finds_an_unread_private_definition():
     sources = {
         "a": (
@@ -72,6 +96,27 @@ def test_finds_an_unread_private_definition():
         "b": "from .a import _imported\n",
     }
     assert unread_private_definitions(sources) == [("a", 5, "_dead"), ("a", 7, "_Gone")]
+
+
+def test_finds_an_unread_private_method():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    def _used(self):\n        pass\n"
+            "    def _dead(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def run(self):\n        return self._used()\n"
+            "def _helper():\n    pass\n"
+        ),
+        "b": "class B:\n    def _called(self):\n        pass\n",
+        "c": "def go(b):\n    b._called()\n",
+    }
+    assert unread_private_methods(sources) == [("a", 4, "_dead")]
+
+
+def test_no_unread_private_methods():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_methods(sources) == []
 
 
 def test_no_unread_private_definitions():

@@ -158,6 +158,20 @@ def test_orbit_signs_alternate():
     assert sorted(signs.values()).count(-1) == 3
 
 
+@pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)])
+def test_weyl_group_order_is_regular_orbit_size(t, l):
+    rs = rsys.build(t, l)
+    assert rsys.weyl_group_order(t, l) == len(rsys.w_orbit_signed(rs, rs.weyl_vector))
+
+
+def test_weyl_group_order_closed_forms():
+    assert [rsys.weyl_group_order("E", l) for l in (6, 7, 8)] == [51_840, 2_903_040, 696_729_600]
+    assert rsys.weyl_group_order("A", 7) == 40_320
+    assert rsys.weyl_group_order("D", 7) == 322_560
+    with pytest.raises(rsys.UnsupportedRootSystem):
+        rsys.weyl_group_order("E", 9)
+
+
 def test_fundamental_coweights():
     a2 = rsys.build("A", 2)
     w1 = rsys.fundamental_coweight(a2, 1)

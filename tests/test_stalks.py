@@ -415,7 +415,10 @@ def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
 # handed to ``kernels.nullspace_of_rows`` and each kernel vector it
 # returns, in call order, with a system's rows and every row's entries
 # sorted.  Recorded from the engine before staged products, so any change
-# to a generator's pivot row or to an x slot's image fails here.
+# to a generator's pivot row or to an x slot's image fails here.  The two
+# ``2omega1`` digests were recorded later, from the engine that still kept
+# section generators as nested dicts; with ``2theta`` they pin the
+# extension of an old generator rescaled by a coefficient above one.
 EXTENSION_DIGESTS = {
     ("A", 2, "theta"):
         "2edd9373af24d4c8b2c3cbf5b07815e2ccb7abdc55c5120e5e0d56f8d2d4c63a",
@@ -423,6 +426,10 @@ EXTENSION_DIGESTS = {
         "c0235fdbd7668d6b24d69ae9b8c0997d0f0dc87589a12bab257d34f285057541",
     ("A", 3, "theta"):
         "d7ca3012e270a8410bb706bac513f1fd383754740d84fc56599ec1fe2ef5e4a1",
+    ("A", 3, "2omega1"):
+        "35f23764e6aa9cf72e8a4a597dd059330af5387914d650515b0ddbc738b9634b",
+    ("A", 4, "2omega1"):
+        "83063d0b21c3473fe5bf6749f06c65f08b7fa0dd9f9c3e3ad1abdeb8f1e8eb1b",
 }
 
 

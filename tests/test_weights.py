@@ -10,15 +10,21 @@ import itertools
 import pytest
 
 from gkmfactor import rootsystem as rsys
+from gkmfactor import weights
 from gkmfactor.weights import (
     QPolynomial,
     freudenthal_weight_table,
     kostant_partition,
-    kostant_weight_table,
     tensor_decompose,
     tensor_weight_dim,
     weight_multiplicity,
 )
+
+
+def kostant_weight_table(lam, rs):
+    """Weight table via the alternating Kostant sum, the cross-check
+    route for the Freudenthal tables."""
+    return {v: weight_multiplicity(lam, v, rs) for v in rsys.weights_of(rs, lam)}
 
 
 def brute_partition(nu, rs):
@@ -94,6 +100,26 @@ def test_multiplicity_rejects_non_dominant():
     a2 = rsys.build("A", 2)
     with pytest.raises(ValueError):
         weight_multiplicity(tuple(-x for x in a2.highest_root), rsys.zero_vec(a2), a2)
+
+
+def test_oversized_weyl_group_refused_before_the_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the Weyl orbit was walked")
+
+    monkeypatch.setattr(rsys, "w_orbit_signed", no_walk)
+    rs = rsys.build("E", 7)
+    for q_graded in (False, True):
+        with pytest.raises(ValueError, match="2903040 orbit points"):
+            weight_multiplicity(rs.highest_root, rsys.zero_vec(rs), rs, q_graded=q_graded)
+
+
+def test_weyl_order_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(weights, "MAX_WEYL_ORDER", 24)  # |W(A3)|
+    a3 = rsys.build("A", 3)
+    assert weight_multiplicity(a3.highest_root, rsys.zero_vec(a3), a3) == 3
+    a4 = rsys.build("A", 4)
+    with pytest.raises(ValueError, match="120 orbit points; at most 24"):
+        weight_multiplicity(a4.highest_root, rsys.zero_vec(a4), a4)
 
 
 @pytest.mark.parametrize(
