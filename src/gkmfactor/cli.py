@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
 from . import rootsystem as rsys
-from .efficiency import DEFAULT_CELL_CAP, adjoint_record, series_report, series_specs
+from .efficiency import DEFAULT_CELL_CAP, adjoint_record, series_report
 from .momentgraph import Truncation, build_graph, export_graph
 from .stalks import estimated_cells, multiplicity_matrix, stalk_ranks
 from .suites import SUITES, run_suite
@@ -45,17 +44,21 @@ def _rs(args):
     return rsys.build(args.type, args.rank)
 
 
-def _guard_cells(truncations, args):
-    """Refuse before any graph is built when a column would be too large."""
+def _guard_cells(tr, args):
+    """Refuse before any graph is built when a column would be too large.
+
+    A dominant class below ``tr.lam`` has a subset of its vertices and a
+    degree bound no larger, so guarding ``tr`` guards every class under it.
+    """
     cap = args.max_cells
-    for tr in truncations:
-        cells, bound = estimated_cells(tr)
-        if cells > cap:
-            raise SystemSizeError(
-                f"refusing: estimated {cells} coefficient cells at degree bound "
-                f"{bound} for the {tr.rs.type_label}{tr.rs.rank} truncation at "
-                f"{list(tr.lam)} exceeds --max-cells {cap}"
-            )
+    cells, bound, exact = estimated_cells(tr, cap)
+    if cells > cap:
+        raise SystemSizeError(
+            f"refusing: estimated {'' if exact else 'at least '}{cells} "
+            f"coefficient cells at degree bound {bound} for the "
+            f"{tr.rs.type_label}{tr.rs.rank} truncation at {list(tr.lam)} "
+            f"exceeds --max-cells {cap}"
+        )
 
 
 class SystemSizeError(RuntimeError):
@@ -133,7 +136,7 @@ def cmd_stalks(args, out):
     rs = _rs(args)
     lam = rsys.resolve_coweight(rs, args.coweight)
     tr = Truncation(rs, lam)
-    _guard_cells([tr], args)
+    _guard_cells(tr, args)
     result = stalk_ranks(tr)
     if args.vertex:
         v = rsys.resolve_coweight(rs, args.vertex)
@@ -170,7 +173,7 @@ def cmd_mmatrix(args, out):
     rs = _rs(args)
     lam = rsys.resolve_coweight(rs, args.coweight)
     tr = Truncation(rs, lam)
-    _guard_cells([tr], args)
+    _guard_cells(tr, args)
     m = multiplicity_matrix(tr)
     payload = {
         "type": rs.type_label,
@@ -195,9 +198,7 @@ def cmd_transition(args, out):
     mu = rsys.resolve_coweight(rs, args.mu)
     nu = rsys.resolve_coweight(rs, args.weight)
     total = tuple(a + b for a, b in zip(lam, mu))
-    _guard_cells(
-        [Truncation(rs, a) for a in rsys.dominant_weights_of(rs, total)], args
-    )
+    _guard_cells(Truncation(rs, total), args)
     bundle = transition_bundle(rs, lam, mu, nu, euler=args.euler)
     payload = {
         "type": rs.type_label,
@@ -233,7 +234,7 @@ def cmd_transition(args, out):
 
 def cmd_eta(args, out):
     if args.series:
-        report = _eta_series(args)
+        report = series_report(args.max_rank, mode=args.mode, cell_cap=args.max_cells)
         header = ["system", "roots", "geometric", "combinatorial", "eta", "bound", "source"]
         if args.json:
             payload = {
@@ -287,29 +288,6 @@ def cmd_eta(args, out):
     return 0
 
 
-def _eta_series(args):
-    specs = series_specs(args.max_rank)
-    # More workers than cores or rows only adds processes.
-    workers = min(args.threads, os.cpu_count() or 1, len(specs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    _series_worker,
-                    [(t, r, args.mode, args.max_cells) for t, r in specs],
-                )
-            )
-        return series_report(args.max_rank, rows=rows)
-    return series_report(args.max_rank, mode=args.mode, cell_cap=args.max_cells)
-
-
-def _series_worker(spec):
-    t, r, mode, cap = spec
-    return adjoint_record(t, r, mode=mode, cell_cap=cap)
-
-
 def cmd_verify(args, out):
     checks = run_suite(args.suite)
     failed = 0
@@ -328,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
             "exact moment graphs, canonical-sheaf stalk ranks, transition "
             "blocks and efficiency bounds for simply-laced root systems"
         ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        # A string default goes through type=int, so a bad value exits 2.
-        default=os.environ.get("GKMFACTOR_THREADS", "1"),
-        help="worker processes for the eta series report (other commands run sequentially)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,8 +14,10 @@ decreasing along the exceptional series.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import rootsystem as rsys
 from .momentgraph import Truncation
@@ -59,19 +61,12 @@ def eta_bound(type_label: str, rank: int) -> Fraction:
     return Fraction(rank, rank**2 + rsys.root_count(type_label, rank))
 
 
-def eta_rep(
-    alpha: Vec,
-    nu: Vec,
-    lam: Vec,
-    mu: Vec,
-    rs: RootSystem,
-    numerator: str = "stalk",
-) -> Fraction:
+def eta_rep(alpha: Vec, nu: Vec, lam: Vec, mu: Vec, rs: RootSystem) -> Fraction:
     """Stalk rank of the ``alpha`` class at ``nu`` over the tensor
     weight-space dimension of V_lam (x) V_mu at ``nu``.
 
-    ``numerator="analytic"`` substitutes the Cartan rank, which is the
-    known value for the adjoint class at the origin only.
+    The Cartan-rank numerator of the adjoint class at zero is
+    :func:`adjoint_record` with ``mode="analytic"``.
     """
     for v in (alpha, lam, mu):
         if not rsys.is_dominant(rs, v):
@@ -79,18 +74,10 @@ def eta_rep(
     denom = tensor_weight_dim(lam, mu, nu, rs)
     if denom == 0:
         raise ValueError(f"{nu} is not a weight of the tensor product")
-    if numerator == "analytic":
-        if tuple(alpha) != rs.highest_root or any(nu):
-            raise ValueError("the analytic numerator applies to the adjoint class at zero")
-        num = rs.rank
-    elif numerator == "stalk":
-        column = stalk_ranks(Truncation(rs, tuple(alpha)))
-        if tuple(nu) not in column.ranks:
-            raise ValueError(f"{nu} is not a vertex of the {alpha} truncation")
-        num = column.ranks[tuple(nu)]
-    else:
-        raise ValueError(f"unknown numerator mode {numerator!r}")
-    return Fraction(num, denom)
+    column = stalk_ranks(Truncation(rs, tuple(alpha)))
+    if tuple(nu) not in column.ranks:
+        raise ValueError(f"{nu} is not a vertex of the {alpha} truncation")
+    return Fraction(column.ranks[tuple(nu)], denom)
 
 
 def eta_graph(alpha: Vec, nu: Vec, rs: RootSystem) -> Fraction:
@@ -148,13 +135,14 @@ def adjoint_record(
     num = ell
     if mode == "stalk":
         tr = Truncation(rs, rs.highest_root)
-        cells, _ = estimated_cells(tr)
+        cells, _, exact = estimated_cells(tr, cell_cap)
         if cells <= cell_cap:
             column = stalk_ranks(tr)
             num = column.ranks[rsys.zero_vec(rs)]
             source = "stalk"
         else:
-            source = f"analytic (stalk system ~{cells} cells exceeds cap {cell_cap})"
+            size = f"~{cells}" if exact else f">={cells}"
+            source = f"analytic (stalk system {size} cells exceeds cap {cell_cap})"
     elif mode != "analytic":
         raise ValueError(f"unknown mode {mode!r}")
     eta = Fraction(num, dim)
@@ -213,15 +201,25 @@ def series_report(
     max_rank: int,
     mode: str = "analytic",
     cell_cap: int = DEFAULT_CELL_CAP,
-    rows=None,
 ) -> SeriesReport:
     """Efficiency rows for A_1..A_max, D_3..D_max and E_6..E_8, with the
-    strict monotonicity of the bounds along each family asserted."""
+    strict monotonicity of the bounds along each family asserted.
+
+    Stalk-mode rows run their columns in a pool of one worker process per
+    CPU, at most one per row; analytic rows take no measurable time, so
+    they start no process.
+    """
     specs = series_specs(max_rank)
-    if rows is not None:
-        records = list(rows)
+    types, ranks = zip(*specs)
+    record = partial(adjoint_record, mode=mode, cell_cap=cell_cap)
+    workers = min(os.cpu_count() or 1, len(specs)) if mode == "stalk" else 1
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(record, types, ranks))
     else:
-        records = [adjoint_record(t, r, mode=mode, cell_cap=cell_cap) for t, r in specs]
+        records = list(map(record, types, ranks))
 
     def bounds(label):
         return [r.bound for r in records if r.type_label == label]

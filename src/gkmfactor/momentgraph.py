@@ -45,6 +45,7 @@ class Truncation:
     lam: Vec
 
     def __post_init__(self):
+        rsys.check_coweight(self.rs, self.lam)
         if not rsys.is_dominant(self.rs, self.lam):
             raise ValueError("truncation coweight must be dominant")
 

@@ -399,10 +399,17 @@ def zero_vec(rs: RootSystem) -> Vec:
 def weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
     """The weight set of the irreducible with highest coweight ``lam``:
     all ``nu`` whose dominant conjugate is dominance-below ``lam``."""
+    return sorted(iter_weights(rs, lam))
+
+
+def iter_weights(rs: RootSystem, lam: Vec):
+    """The weights of :func:`weights_of`, one at a time in the order
+    found, so a caller can stop before a large set is enumerated."""
     if not is_dominant(rs, lam):
         raise ValueError("highest coweight must be dominant")
     seen = {lam}
     queue = [lam]
+    yield lam
     while queue:
         v = queue.pop()
         for a in rs.simple_roots:
@@ -412,7 +419,7 @@ def weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
             if dominance_leq(rs, dominant_representative(rs, w), lam):
                 seen.add(w)
                 queue.append(w)
-    return sorted(seen)
+                yield w
 
 
 def dominant_weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
@@ -478,4 +485,18 @@ def resolve_coweight(rs: RootSystem, name: str) -> Vec:
         raise ValueError(
             f"coweight vector needs {rs.ambient_dim} coordinates for {rs.type_label}{rs.rank}"
         )
+    check_coweight(rs, vec)
     return vec
+
+
+def check_coweight(rs: RootSystem, v: Vec) -> None:
+    """Raise :class:`ValueError` unless ``v`` pairs to an integer with
+    every simple root, i.e. lies in the coweight lattice.  Only type E
+    can fail: its doubled coordinates pair through ``(v, alpha) / 4``."""
+    for i, a in enumerate(rs.simple_roots, 1):
+        k = Fraction(pairing(rs, v, a))
+        if k.denominator != 1:
+            raise ValueError(
+                f"{list(v)} pairs to {k} with the simple root alpha{i} = {list(a)}, "
+                f"so it is not in the coweight lattice of {rs.type_label}{rs.rank}"
+            )

@@ -161,12 +161,21 @@ def default_degree_bound(tr: Truncation) -> int:
     return max(2, (dim - 1) // 2 + 2)
 
 
-def estimated_cells(tr: Truncation) -> tuple[int, int]:
-    """Peak per-degree coefficient slot count and the bound it assumes;
-    the guard used for refusing oversized runs.  Builds no graph."""
+def estimated_cells(tr: Truncation, cap: int) -> tuple[int, int, bool]:
+    """Peak per-degree coefficient slot count, the bound it assumes and
+    whether the count is exact; the guard used for refusing oversized
+    runs.  Builds no graph.  The vertices are counted until at least 256
+    of them give more than ``cap`` cells (an ``eta --series`` row has at
+    most 241), so a huge vertex set is never enumerated; the count is then
+    a lower bound above ``cap``."""
     D = default_degree_bound(tr)
     n = tr.rs.rank + 1  # label variables, as in MomentGraph.num_vars
-    return len(tr.vertex_set()) * comb(D + n - 1, n - 1), D
+    per_vertex = comb(D + n - 1, n - 1)
+    count = 0
+    for count, _ in enumerate(rsys.iter_weights(tr.rs, tr.lam), 1):
+        if count >= 256 and count * per_vertex > cap:
+            return count * per_vertex, D, False
+    return count * per_vertex, D, True
 
 
 def _apply(row, table, image):
@@ -408,19 +417,18 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
 _COLUMN_CACHE: dict = {}
 
 
-def stalk_ranks(tr: Truncation, D: int | None = None) -> ColumnResult:
-    """Stalk ranks of the canonical sheaf at every vertex of a truncation.
+def stalk_ranks(tr: Truncation) -> ColumnResult:
+    """Stalk ranks of the canonical sheaf at every vertex of a truncation,
+    at :func:`default_degree_bound`.
 
-    ``D`` defaults to :func:`default_degree_bound`; there are no retries,
-    so a bound too small for the column raises :class:`DegreeBoundError`.
-    Results are cached per (root system, coweight, bound), and a cached
-    column builds no graph.
+    There are no retries: a profile that is not stable below the bound
+    raises :class:`DegreeBoundError`.  Results are cached per (root
+    system, coweight), and a cached column builds no graph.
     """
-    bound = default_degree_bound(tr) if D is None else D
-    key = (tr.rs.type_label, tr.rs.rank, tr.lam, bound)
+    key = (tr.rs.type_label, tr.rs.rank, tr.lam)
     result = _COLUMN_CACHE.get(key)
     if result is None:
-        result = _COLUMN_CACHE[key] = run_column(build_graph(tr), bound)
+        result = _COLUMN_CACHE[key] = run_column(build_graph(tr), default_degree_bound(tr))
     return result
 
 

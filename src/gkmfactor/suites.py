@@ -60,10 +60,10 @@ def suite_sl3() -> list[Check]:
     return checks
 
 
-def suite_adjoint_ranks(cases=(("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4))) -> list[Check]:
+def suite_adjoint_ranks() -> list[Check]:
     """Origin stalk rank of the adjoint truncation equals the Cartan rank."""
     checks = []
-    for t, r in cases:
+    for t, r in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)):
         rs = rsys.build(t, r)
         column = stalk_ranks(Truncation(rs, rs.highest_root))
         checks.append(

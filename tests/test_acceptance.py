@@ -152,7 +152,7 @@ def test_criterion_6_stability_and_order_invariance():
         tr = Truncation(rs, rs.highest_root)
         g = build_graph(tr)
         base = stalk_ranks(tr)
-        again = stalk_ranks(tr, D=base.degree_bound + 1)
+        again = run_column(g, base.degree_bound + 1)
         assert base.ranks == again.ranks
         for seed in range(5):
             ext = g.linear_extension(random.Random(seed))

@@ -158,11 +158,11 @@ def test_entry_point_subprocess():
     assert "1/18" in proc.stdout
 
 
-def test_threads_flag_accepted():
-    code, out = capture(["--threads", "2", "eta", "--series", "all", "--max-rank", "3", "--csv"])
-    assert code == 0
-    _, seq = capture(["eta", "--series", "all", "--max-rank", "3", "--csv"])
-    assert out == seq
+def test_threads_option_removed():
+    # The series picks its pool from the mode and the machine alone.
+    argv = ["eta", "--series", "all", "--max-rank", "3", "--csv"]
+    assert capture(["--threads", "2"] + argv) == (2, "")
+    assert capture(argv)[0] == 0
 
 
 @pytest.fixture
@@ -183,40 +183,38 @@ def pool_requests(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return requested
 
 
 @pytest.mark.parametrize(
-    "threads,cpus,workers",
+    "mode,cpus,workers",
     # --max-rank 2 gives 5 series rows: A1, A2, E6, E7, E8.
-    [(100000, 4, [4]), (100000, 64, [5]), (3, 64, [3]), (100000, None, [])],
+    [("stalk", 4, [4]), ("stalk", 64, [5]), ("stalk", 1, []), ("stalk", None, []),
+     ("analytic", 64, [])],
 )
-def test_eta_series_worker_count_capped(monkeypatch, pool_requests, threads, cpus, workers):
+def test_eta_series_pool_size(monkeypatch, pool_requests, mode, cpus, workers):
+    # Only stalk rows pay for worker processes: one per CPU, at most one
+    # per row.  The rows themselves are analytic here, to keep this fast.
+    from gkmfactor import efficiency
+
+    analytic = efficiency.adjoint_record
+    monkeypatch.setattr(efficiency, "adjoint_record", lambda t, r, **kw: analytic(t, r))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    argv = ["eta", "--series", "all", "--max-rank", "2", "--csv"]
-    code, out = capture(["--threads", str(threads)] + argv)
-    assert code == 0
+    assert capture(["eta", "--series", "all", "--max-rank", "2", "--mode", mode])[0] == 0
     assert pool_requests == workers
-    assert out == capture(argv)[1]
 
 
-def test_eta_series_env_thread_count_capped(monkeypatch, pool_requests):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("GKMFACTOR_THREADS", "100000")
-    assert capture(["eta", "--series", "all", "--max-rank", "2"])[0] == 0
-    assert pool_requests == [2]
-
-
-def test_bad_threads_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("GKMFACTOR_THREADS", "abc")
-    code, out = capture(["roots", "--type", "A", "--rank", "1"])
-    assert code == 2 and out == ""
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and "invalid int value: 'abc'" in err
+def test_eta_series_pooled_output_matches_sequential(monkeypatch, pool_requests):
+    argv = ["eta", "--series", "all", "--max-rank", "2", "--mode", "stalk", "--csv"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = capture(argv)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert capture(argv) == pooled
+    assert pool_requests == [4]
 
 
 @pytest.mark.parametrize("exc", [AssertionError("invariant broken"), MemoryError()])
@@ -271,6 +269,48 @@ def equals_form(argv):
     return joined
 
 
+OFF_LATTICE = "0,0,0,0,0,0,0,1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stalks", "--type", "E", "--rank", "6", "--coweight", OFF_LATTICE],
+    ["graph", "--type", "E", "--rank", "6", "--coweight", OFF_LATTICE, "--format", "json"],
+    ["tensor-dim", "--type", "E", "--rank", "6", "--lambda", OFF_LATTICE, "--mu", "zero",
+     "--weight", OFF_LATTICE],
+    ["mult", "--type", "E", "--rank", "6", "--highest", "theta", "--weight", OFF_LATTICE],
+], ids=lambda a: a[0])
+def test_e_vector_off_the_coweight_lattice_refused(argv, capsys):
+    # It pairs to 1/4 with alpha1; a one-vertex "truncation", a tensor
+    # dimension of 1 or a failed Kostant assertion would all be wrong.
+    code, out = capture(argv)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == (
+        "error: [0, 0, 0, 0, 0, 0, 0, 1] pairs to 1/4 with the simple root alpha1 = "
+        "[1, -1, -1, -1, -1, -1, -1, 1], so it is not in the coweight lattice of E6\n"
+    )
+
+
+@pytest.mark.parametrize("argv,estimate", [
+    (["stalks", "--type", "A", "--rank", "12", "--coweight", "6," + "0," * 11 + "-6"],
+     "estimated at least 33681169130918400 coefficient cells at degree bound 73"),
+    (["mmatrix", "--type", "A", "--rank", "10", "--coweight", "5," + "0," * 9 + "-5"],
+     "estimated at least 23085355577856 coefficient cells at degree bound 51"),
+    (["transition", "--type", "E", "--rank", "6", "--lambda", "omega4", "--mu", "omega4",
+      "--weight", "zero"],
+     "estimated at least 3579856896 coefficient cells at degree bound 43"),
+], ids=["stalks-A12", "mmatrix-A10", "transition-E6"])
+def test_huge_vertex_set_refused_without_enumerating_it(no_graph, argv, estimate, capsys):
+    # Millions of vertices: the estimate stops counting at the 256th.
+    start = time.perf_counter()
+    code, out = capture(argv)
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing: " + estimate)
+    assert err.endswith("exceeds --max-cells 20000\n")
+
+
 @pytest.mark.parametrize(
     "argv", NEGATIVE_VECTOR_COMMANDS,
     ids=lambda a: a[0] + [t for t in equals_form(a) if "=" in t][0],
@@ -288,7 +328,7 @@ def test_negative_vector_space_form_matches_equals_form(argv, capsys):
 
 def test_eta_series_rejects_max_rank_before_any_worker(monkeypatch, pool_requests, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    code, out = capture(["--threads", "2", "eta", "--series", "all", "--max-rank", "0"])
+    code, out = capture(["eta", "--series", "all", "--max-rank", "0", "--mode", "stalk"])
     assert code == 1 and out == ""
     assert pool_requests == []
     assert "max_rank must be at least 1" in capsys.readouterr().err
@@ -341,9 +381,9 @@ def test_eta_series_refuses_oversized_max_rank_before_any_build(
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(rsys, "build", no_build)
-    for threads in ("1", "2"):
+    for mode in ("analytic", "stalk"):
         start = time.perf_counter()
-        code, out = capture(["--threads", threads, "eta", "--series", "all", "--max-rank", max_rank])
+        code, out = capture(["eta", "--series", "all", "--max-rank", max_rank, "--mode", mode])
         assert time.perf_counter() - start < 5
         assert code == 1 and out == ""
         assert message in capsys.readouterr().err

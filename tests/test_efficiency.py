@@ -1,5 +1,6 @@
 """Efficiency ratios and the universal bounds."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -43,11 +44,11 @@ def test_eta_bound_rejects_unknown():
         eta_bound("E", 5)
 
 
-def test_eta_rep_analytic_e6():
-    rs = rsys.build("E", 6)
-    theta = rs.highest_root
-    zero = rsys.zero_vec(rs)
-    assert eta_rep(theta, zero, theta, theta, rs, numerator="analytic") == Fraction(1, 18)
+def test_adjoint_record_analytic_e6():
+    rec = adjoint_record("E", 6)
+    assert rec.numerator_source == "analytic"
+    assert rec.geometric_rank == 6 and rec.combinatorial_dim == 108
+    assert rec.eta == Fraction(1, 18)
 
 
 def test_eta_rep_stalk_a2():
@@ -70,11 +71,8 @@ def test_eta_rep_errors():
     zero = rsys.zero_vec(rs)
     with pytest.raises(ValueError):
         eta_rep(theta, (9, 9, 9), theta, theta, rs)
-    with pytest.raises(ValueError):
-        eta_rep(theta, zero, theta, theta, rs, numerator="guess")
-    with pytest.raises(ValueError):
-        # analytic numerator is only defined for the adjoint class at zero
-        eta_rep(theta, theta, theta, theta, rs, numerator="analytic")
+    with pytest.raises(ValueError, match="must be dominant"):
+        eta_rep(theta, zero, (-1, 0, 1), theta, rs)
 
 
 def test_eta_graph_a2():
@@ -117,6 +115,29 @@ def test_adjoint_record_caps_oversized():
     assert rec.geometric_rank == 6
     assert rec.numerator_source.startswith("analytic")
     assert "cap" in rec.numerator_source
+
+
+def test_adjoint_record_marks_a_partial_count(monkeypatch):
+    # Past the cap the estimate may stop counting vertices; its cell
+    # count is then a lower bound.
+    from gkmfactor import efficiency
+
+    monkeypatch.setattr(efficiency, "estimated_cells", lambda tr, cap: (10**9, 9, False))
+    rec = adjoint_record("A", 4, mode="stalk")
+    assert rec.geometric_rank == 4
+    assert rec.numerator_source == "analytic (stalk system >=1000000000 cells exceeds cap 20000)"
+
+
+def test_series_report_pools_stalk_rows(monkeypatch):
+    # A real process pool over two cheap rows gives the sequential records.
+    from gkmfactor import efficiency
+
+    monkeypatch.setattr(efficiency, "series_specs", lambda max_rank: [("A", 1), ("A", 2)])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pooled = series_report(2, mode="stalk").records
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert pooled == series_report(2, mode="stalk").records
+    assert [r.numerator_source for r in pooled] == ["stalk", "stalk"]
 
 
 def test_adjoint_record_default_cap_refuses_a6(monkeypatch):

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never reads, and no
-module defines a private function, class or method that no module reads.
+"""No module of the package imports a name it never reads, no module
+defines a private function, class or method that no module reads, and no
+module reads the environment, so no variable changes behaviour unseen.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree.  A name counts as read when some expression loads it or when it
@@ -132,3 +133,43 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """(line, name) of each ``os.environ``/``os.getenv`` read, also
+    through ``import os as ...`` or ``from os import ...``."""
+    tree = ast.parse(source)
+    os_names = {"os"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            os_names.update(a.asname for a in node.names if a.name == "os" and a.asname)
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in os_names
+        ):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend(
+                (node.lineno, f"os.{a.name}") for a in node.names if a.name in ENVIRONMENT_NAMES
+            )
+    return sorted(found)
+
+
+def test_finds_an_environment_read():
+    source = (
+        "import os\nimport os as system\nfrom os import getenv\n"
+        "a = os.environ.get('X')\nb = system.getenv('Y')\nc = os.cpu_count()\n"
+    )
+    assert environment_reads(source) == [(3, "os.getenv"), (4, "os.environ"), (5, "os.getenv")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []

@@ -60,6 +60,13 @@ def test_non_dominant_rejected():
         Truncation(rs, tuple(-x for x in rs.highest_root))
 
 
+def test_truncation_off_the_coweight_lattice_rejected():
+    # Dominant, but it pairs to 1/4 with alpha1 of E6.
+    rs = rsys.build("E", 6)
+    with pytest.raises(ValueError, match="not in the coweight lattice of E6"):
+        Truncation(rs, (0, 0, 0, 0, 0, 0, 0, 1))
+
+
 @pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3), ("D", 4)])
 def test_adjoint_vertex_count(t, l):
     rs = rsys.build(t, l)

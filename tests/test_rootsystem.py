@@ -1,5 +1,6 @@
 """Root data: counts, closure, dominance, orders, coweight resolution."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -205,6 +206,42 @@ def test_resolve_coweight_names():
         rsys.resolve_coweight(rs, "1,2")
     with pytest.raises(ValueError):
         rsys.resolve_coweight(rs, "sigma")
+
+
+@pytest.mark.parametrize("l", [6, 7, 8])
+def test_resolve_coweight_refuses_e_vectors_off_the_lattice(l):
+    # Doubled coordinates: a pairing is (v, alpha) / 4, so the last unit
+    # vector pairs to 1/4 with alpha1 = (1,-1,-1,-1,-1,-1,-1,1).
+    rs = rsys.build("E", l)
+    with pytest.raises(ValueError, match=r"pairs to 1/4 with the simple root alpha1 "):
+        rsys.resolve_coweight(rs, "0,0,0,0,0,0,0,1")
+    with pytest.raises(ValueError, match=r"pairs to -1/2 with the simple root alpha4 "):
+        rsys.resolve_coweight(rs, "1,1,0,0,0,0,0,0")
+    assert rsys.resolve_coweight(rs, "2,2,0,0,0,0,0,0") == (2, 2, 0, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("t,l", [("E", 6), ("E", 7), ("E", 8)])
+def test_named_e_coweights_resolve(t, l):
+    rs = rsys.build(t, l)
+    names = ["zero", "theta"] + [f"omega{k}{d}" for k in range(1, l + 1) for d in ("", "*")]
+    resolved = 0
+    for name in names:
+        try:
+            v = rsys.resolve_coweight(rs, name)
+        except ValueError as exc:
+            assert "not integral in this realization" in str(exc)
+            continue
+        rsys.check_coweight(rs, v)
+        assert rsys.resolve_coweight(rs, ",".join(map(str, v))) == v
+        resolved += 1
+    assert resolved >= 4
+
+
+@pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3), ("D", 3), ("D", 4)])
+def test_every_a_d_coordinate_vector_resolves(t, l):
+    rs = rsys.build(t, l)
+    for v in itertools.product(range(-2, 3), repeat=rs.ambient_dim):
+        assert rsys.resolve_coweight(rs, ",".join(map(str, v))) == v
 
 
 @given(st.sampled_from([("A", 2), ("A", 3), ("D", 4)]), st.integers(0, 10 ** 6))

@@ -185,14 +185,14 @@ def test_degree_bound_stability():
     rs = rsys.build("A", 2)
     tr = Truncation(rs, rs.highest_root)
     d0 = stalk_ranks(tr)
-    d1 = stalk_ranks(tr, D=d0.degree_bound + 1)
+    d1 = run_column(build_graph(tr), d0.degree_bound + 1)
     assert d0.ranks == d1.ranks
 
 
 def test_explicit_insufficient_bound_raises():
     rs = rsys.build("A", 2)
     with pytest.raises(DegreeBoundError):
-        stalk_ranks(Truncation(rs, rs.highest_root), D=2)
+        run_column(build_graph(Truncation(rs, rs.highest_root)), 2)
 
 
 def test_level_inverting_extension_rejected():
@@ -210,9 +210,32 @@ def test_default_bound_values():
     rs = rsys.build("A", 2)
     tr = Truncation(rs, rs.highest_root)
     assert default_degree_bound(tr) == 3
-    cells, bound = estimated_cells(tr)
-    assert bound == 3
+    cells, bound, exact = estimated_cells(tr, 0)
+    assert bound == 3 and exact
     assert cells == len(build_graph(tr).vertices) * comb(3 + 2, 2)
+
+
+def test_estimate_stops_counting_past_the_ceiling(monkeypatch):
+    # A12 6theta has millions of vertices; the estimate stops at the
+    # 256th, whose cells already exceed the ceiling.
+    counted = []
+    weights = rsys.iter_weights
+
+    def counting(rs, lam):
+        for w in weights(rs, lam):
+            counted.append(w)
+            yield w
+
+    monkeypatch.setattr(rsys, "iter_weights", counting)
+    rs = rsys.build("A", 12)
+    tr = Truncation(rs, (6,) + (0,) * 11 + (-6,))
+    cells, bound, exact = estimated_cells(tr, 20_000)
+    assert len(counted) == 256 and not exact
+    assert cells == 256 * comb(bound + 12, 12) > 20_000
+    # E8 theta, the largest eta series row, has 241 vertices: at most
+    # 256 are always counted in full, past the ceiling too.
+    rs = rsys.build("E", 8)
+    assert estimated_cells(Truncation(rs, rs.highest_root), 20_000) == (241 * comb(38, 8), 30, True)
 
 
 def test_cached_column_builds_no_graph(monkeypatch):
@@ -238,9 +261,12 @@ def test_cold_multiplicity_matrix_builds_one_graph_per_class(monkeypatch):
 
 
 def test_default_bound_is_the_cache_key():
+    # The column is cached per truncation, at the default bound only.
     rs = rsys.build("A", 3)
     tr = Truncation(rs, rs.highest_root)
-    assert stalk_ranks(tr, D=default_degree_bound(tr)) is stalk_ranks(tr)
+    col = stalk_ranks(tr)
+    assert col.degree_bound == default_degree_bound(tr)
+    assert stalk_ranks(Truncation(rsys.build("A", 3), rs.highest_root)) is col
 
 
 def test_stalk_rank_at_rejects_foreign_vertex():
