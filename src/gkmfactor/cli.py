@@ -61,6 +61,29 @@ def _guard_cells(tr, args):
         )
 
 
+# The most (vertex pair, positive root) tests ``graph`` runs:
+# ``build_graph`` checks every vertex pair against every positive root.
+# E8 theta (241 vertices, 3,470,400 tests) builds in about 6 s and D5
+# 2theta (411, 1,685,100) in about 5 s; E6 omega4 (1,063 vertices,
+# 20,320,308 tests) took 41 s (2-vCPU VM, Python 3.11.7).
+MAX_GRAPH_TESTS = 4_000_000
+
+
+def _guard_graph(tr):
+    """Refuse before building a graph with too many pair tests; the
+    vertices are counted only until the ceiling is passed."""
+    roots = len(tr.rs.positive_roots)
+    for count, _ in enumerate(rsys.iter_weights(tr.rs, tr.lam), 1):
+        tests = count * (count - 1) // 2 * roots
+        if tests > MAX_GRAPH_TESTS:
+            raise SystemSizeError(
+                f"refusing: the {tr.rs.type_label}{tr.rs.rank} truncation at "
+                f"{list(tr.lam)} has at least {count} vertices, so building its graph "
+                f"takes at least {tests} tests of a vertex pair against a positive "
+                f"root; at most {MAX_GRAPH_TESTS} are supported"
+            )
+
+
 class SystemSizeError(RuntimeError):
     pass
 
@@ -127,7 +150,9 @@ def cmd_tensor_dim(args, out):
 def cmd_graph(args, out):
     rs = _rs(args)
     lam = rsys.resolve_coweight(rs, args.coweight)
-    g = build_graph(Truncation(rs, lam))
+    tr = Truncation(rs, lam)
+    _guard_graph(tr)
+    g = build_graph(tr)
     out.write(export_graph(g, args.format))
     return 0
 

@@ -109,11 +109,7 @@ def eta_graph(alpha: Vec, nu: Vec, rs: RootSystem) -> Fraction:
 
 
 def _same_coroot_coset(rs: RootSystem, u: Vec, v: Vec) -> bool:
-    diff = tuple(a - b for a, b in zip(u, v))
-    c = rsys.simple_coefficients(rs, diff)
-    if c is None:
-        return False
-    return all(Fraction(x).denominator == 1 for x in c)
+    return rsys.simple_coefficients(rs, tuple(a - b for a, b in zip(u, v))) is not None
 
 
 def adjoint_record(

@@ -165,7 +165,7 @@ def build_graph(tr: Truncation) -> MomentGraph:
                 continue
             alpha, n = datum
             k = n + rsys.pairing(rs, vertices[i], alpha)
-            label = tuple(rs.root_simple_coeffs[alpha]) + (int(k),)
+            label = tuple(rs.root_simple_coeffs[alpha]) + (k,)
             edges.append(Edge(i, j, label))
     g = MomentGraph(rs, tr.lam, vertices, edges)
     bad = gkm_violations(g)

@@ -15,14 +15,16 @@ is an integer vector:
 
 Simply-laced systems are treated as self-dual: coroots are identified
 with roots, and the pairing of a coweight ``v`` against a root ``a`` is
-``2 (v, a) / (a, a)``.
+``2 (v, a) / (a, a)``.  Every vector, pairing and coefficient outside
+:func:`build` is an integer; the Weyl vector only appears doubled, as
+``two_rho``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 Vec = tuple[int, ...]
 
@@ -118,7 +120,10 @@ class RootSystem:
     positive_roots: tuple[Vec, ...] = field(compare=False)
     roots: tuple[Vec, ...] = field(compare=False)
     cartan_matrix: tuple[tuple[int, ...], ...] = field(compare=False)
-    cartan_inverse: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    # The inverse Cartan matrix is scaled_cartan_inverse / cartan_denominator,
+    # over the least common denominator of its entries.
+    scaled_cartan_inverse: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    cartan_denominator: int = field(compare=False)
     highest_root: Vec = field(compare=False)
     root_norm_sq: int = field(compare=False)
     two_rho: Vec = field(compare=False)
@@ -129,10 +134,6 @@ class RootSystem:
     @property
     def num_roots(self) -> int:
         return len(self.roots)
-
-    @property
-    def weyl_vector(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, 2) for c in self.two_rho)
 
     def __repr__(self):
         return f"RootSystem({self.type_label}{self.rank}, |Phi|={self.num_roots})"
@@ -218,6 +219,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         raise AssertionError(f"expected a unique dominant root, found {len(dominant)}")
 
     two_rho = tuple(sum(col) for col in zip(*positives))
+    denominator = lcm(*(x.denominator for row in cartan_inv for x in row))
 
     return RootSystem(
         type_label=type_label,
@@ -227,7 +229,8 @@ def build(type_label: str, rank: int) -> RootSystem:
         positive_roots=tuple(positives),
         roots=tuple(sorted(roots)),
         cartan_matrix=cartan,
-        cartan_inverse=cartan_inv,
+        scaled_cartan_inverse=tuple(tuple(int(x * denominator) for x in row) for row in cartan_inv),
+        cartan_denominator=denominator,
         highest_root=dominant[0],
         root_norm_sq=norm_sq,
         two_rho=two_rho,
@@ -253,59 +256,50 @@ def _invert_fraction_matrix(m) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def pairing(rs: RootSystem, v, root: Vec):
+def pairing(rs: RootSystem, v: Vec, root: Vec) -> int:
     """``<root, v-as-coroot-side>`` = 2 (v, root) / (root, root).
 
-    Integer for integer coweights; exact Fraction otherwise.
+    Raises :class:`ValueError` when it is not an integer, i.e. when
+    ``v`` is off the coweight lattice.
     """
-    num = 2 * _dot(v, root)
-    if num % rs.root_norm_sq == 0 and not any(isinstance(x, Fraction) for x in v):
-        return num // rs.root_norm_sq
-    return Fraction(num, rs.root_norm_sq)
+    k, r = divmod(2 * _dot(v, root), rs.root_norm_sq)
+    if r:
+        raise ValueError(f"{list(v)} pairs non-integrally with the root {list(root)}")
+    return k
 
 
-def reflect(rs: RootSystem, v, root: Vec):
+def reflect(rs: RootSystem, v: Vec, root: Vec) -> Vec:
     """Reflection of ``v`` in the hyperplane of ``root`` (self-dual convention)."""
     k = pairing(rs, v, root)
     return tuple(x - k * y for x, y in zip(v, root))
 
 
 def simple_coefficients(rs: RootSystem, v: Vec):
-    """Coefficients of ``v`` over the simple roots, or None if outside the span.
+    """Integer coefficients of ``v`` over the simple roots, or None if
+    ``v`` is not an integer combination of them.
 
-    Solved through the inverse Cartan matrix and verified by
-    reconstruction, so membership in the root span is decided exactly.
+    Solved through the scaled inverse Cartan matrix and verified by
+    reconstruction, so membership in the root lattice is decided exactly.
     """
-    cached = rs._coeff_cache.get(v)
-    if cached is not None:
-        return cached if cached != "out" else None
-    p = [Fraction(2 * _dot(v, a), rs.root_norm_sq) for a in rs.simple_roots]
-    c = tuple(
-        sum(rs.cartan_inverse[i][j] * p[j] for j in range(rs.rank))
-        for i in range(rs.rank)
-    )
-    recon = [Fraction(0)] * rs.ambient_dim
-    for ci, a in zip(c, rs.simple_roots):
-        for k, x in enumerate(a):
-            recon[k] += ci * x
-    if any(r != x for r, x in zip(recon, v)):
-        rs._coeff_cache[v] = "out"
-        return None
-    rs._coeff_cache[v] = c
-    return c
+    if v not in rs._coeff_cache:
+        p = [2 * _dot(v, a) for a in rs.simple_roots]
+        den = rs.cartan_denominator * rs.root_norm_sq
+        scaled = [_dot(row, p) for row in rs.scaled_cartan_inverse]
+        c = tuple(x // den for x in scaled)
+        exact = not any(x % den for x in scaled)
+        recon = tuple(_dot(c, col) for col in zip(*rs.simple_roots))
+        rs._coeff_cache[v] = c if exact and recon == v else None
+    return rs._coeff_cache[v]
 
 
-def projected_height(rs: RootSystem, v: Vec) -> Fraction:
-    """Sum of the simple-root coefficients of the root-span projection.
+def height_key(rs: RootSystem, v: Vec) -> int:
+    """``(v, 2 rho)``: ``root_norm_sq`` times the height (sum of the
+    simple-root coefficients) of the root-span projection of ``v``.
 
-    Linear in ``v`` and equal to the honest height on the root span, so
-    dominance-comparable coweights always have strictly ordered values.
+    Linear in ``v``, so dominance-comparable coweights always have
+    strictly ordered values.
     """
-    total = Fraction(0)
-    for i in range(rs.rank):
-        p = Fraction(2 * _dot(v, rs.simple_roots[i]), rs.root_norm_sq)
-        total += sum(rs.cartan_inverse[j][i] * p for j in range(rs.rank))
-    return total
+    return _dot(v, rs.two_rho)
 
 
 def is_dominant(rs: RootSystem, v: Vec) -> bool:
@@ -331,25 +325,22 @@ def dominant_representative(rs: RootSystem, v: Vec) -> Vec:
 
 def dominance_leq(rs: RootSystem, nu: Vec, lam: Vec) -> bool:
     """Whether ``lam - nu`` is a non-negative integer sum of simple coroots."""
-    diff = tuple(a - b for a, b in zip(lam, nu))
-    c = simple_coefficients(rs, diff)
-    if c is None:
-        return False
-    return all(x.denominator == 1 and x >= 0 for x in map(Fraction, c))
+    c = simple_coefficients(rs, tuple(a - b for a, b in zip(lam, nu)))
+    return c is not None and all(x >= 0 for x in c)
 
 
 def total_order_extension(coweights, rs: RootSystem) -> list[Vec]:
     """A deterministic linear extension of the dominance order.
 
-    Sorts by (projected height, lexicographic coordinates).  Dominance
-    strictly increases projected height, so no comparable pair is
+    Sorts by (:func:`height_key`, lexicographic coordinates).  Dominance
+    strictly increases the height key, so no comparable pair is
     inverted; the lexicographic tie-break makes the output reproducible.
     """
-    return sorted(coweights, key=lambda v: (projected_height(rs, v), v))
+    return sorted(coweights, key=lambda v: (height_key(rs, v), v))
 
 
-def w_orbit(rs: RootSystem, v) -> list:
-    """Weyl orbit of a vector (entries may be Fractions), sorted."""
+def w_orbit(rs: RootSystem, v: Vec) -> list:
+    """Weyl orbit of an integral coweight, sorted."""
     seen = {tuple(v)}
     queue = [tuple(v)]
     while queue:
@@ -362,7 +353,7 @@ def w_orbit(rs: RootSystem, v) -> list:
     return sorted(seen)
 
 
-def w_orbit_signed(rs: RootSystem, v) -> dict:
+def w_orbit_signed(rs: RootSystem, v: Vec) -> dict:
     """Weyl orbit of a regular vector with determinant signs.
 
     Raises if some orbit point is fixed by a simple reflection (the
@@ -382,14 +373,6 @@ def w_orbit_signed(rs: RootSystem, v) -> dict:
                 signs[y] = -s
                 queue.append(y)
     return signs
-
-
-def adjoint_weights(rs: RootSystem) -> dict[Vec, int]:
-    """Weight multiset of the adjoint representation: all roots once,
-    zero with multiplicity equal to the rank."""
-    table = {r: 1 for r in rs.roots}
-    table[tuple([0] * rs.ambient_dim)] = rs.rank
-    return table
 
 
 def zero_vec(rs: RootSystem) -> Vec:
@@ -436,17 +419,14 @@ def fundamental_coweight(rs: RootSystem, i: int) -> Vec:
     if rs.type_label == "D" and i <= rs.rank - 2:
         return tuple([1] * i + [0] * (rs.ambient_dim - i))
     # Root-span solution via the inverse Cartan matrix.
-    coeffs = [rs.cartan_inverse[j][i - 1] for j in range(rs.rank)]
-    vec = [Fraction(0)] * rs.ambient_dim
-    for c, a in zip(coeffs, rs.simple_roots):
-        for k, x in enumerate(a):
-            vec[k] += c * x
-    if any(x.denominator != 1 for x in vec):
+    column = [row[i - 1] for row in rs.scaled_cartan_inverse]
+    vec = [_dot(column, col) for col in zip(*rs.simple_roots)]
+    if any(x % rs.cartan_denominator for x in vec):
         raise ValueError(
             f"fundamental coweight {i} of {rs.type_label}{rs.rank} is not integral "
             "in this realization"
         )
-    return tuple(int(x) for x in vec)
+    return tuple(x // rs.cartan_denominator for x in vec)
 
 
 def dual_coweight(rs: RootSystem, v: Vec) -> Vec:
@@ -494,9 +474,10 @@ def check_coweight(rs: RootSystem, v: Vec) -> None:
     every simple root, i.e. lies in the coweight lattice.  Only type E
     can fail: its doubled coordinates pair through ``(v, alpha) / 4``."""
     for i, a in enumerate(rs.simple_roots, 1):
-        k = Fraction(pairing(rs, v, a))
-        if k.denominator != 1:
+        num = 2 * _dot(v, a)
+        if num % rs.root_norm_sq:
             raise ValueError(
-                f"{list(v)} pairs to {k} with the simple root alpha{i} = {list(a)}, "
+                f"{list(v)} pairs to {Fraction(num, rs.root_norm_sq)} with the simple "
+                f"root alpha{i} = {list(a)}, "
                 f"so it is not in the coweight lattice of {rs.type_label}{rs.rank}"
             )

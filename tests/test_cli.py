@@ -311,6 +311,34 @@ def test_huge_vertex_set_refused_without_enumerating_it(no_graph, argv, estimate
     assert err.endswith("exceeds --max-cells 20000\n")
 
 
+def test_graph_refuses_a_large_truncation_before_building_it(no_graph, capsys):
+    # E6 omega4 has 1,063 vertices; building its graph took 41 s.  The
+    # vertices are counted only until the ceiling is passed.
+    start = time.perf_counter()
+    code, out = capture(
+        ["graph", "--type", "E", "--rank", "6", "--coweight", "omega4", "--format", "json"]
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: refusing: the E6 truncation at [0, 0, 2, 2, 2, -2, -2, 2] has at least "
+        "472 vertices, so building its graph takes at least 4001616 tests"
+    )
+    assert err.endswith(f"at most {cli.MAX_GRAPH_TESTS} are supported\n")
+
+
+def test_graph_ceiling_is_inclusive(monkeypatch, capsys):
+    # D5 theta: 41 vertices, 820 pairs, 20 positive roots.
+    argv = ["graph", "--type", "D", "--rank", "5", "--coweight", "theta", "--format", "dot"]
+    monkeypatch.setattr(cli, "MAX_GRAPH_TESTS", 16_400)
+    code, out = capture(argv)
+    assert code == 0 and out.count(" -- ") > 0
+    monkeypatch.setattr(cli, "MAX_GRAPH_TESTS", 16_399)
+    assert capture(argv) == (1, "")
+    assert "has at least 41 vertices" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", NEGATIVE_VECTOR_COMMANDS,
     ids=lambda a: a[0] + [t for t in equals_form(a) if "=" in t][0],

@@ -1,6 +1,8 @@
 """No module of the package imports a name it never reads, no module
 defines a private function, class or method that no module reads, and no
 module reads the environment, so no variable changes behaviour unseen.
+The weight, moment-graph and stalk modules work in integers only, so
+they do not import ``fractions``.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree.  A name counts as read when some expression loads it or when it
@@ -173,3 +175,28 @@ def test_finds_an_environment_read():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
+
+
+# Modules whose arithmetic is integer-only.
+INTEGER_MODULES = ("weights.py", "momentgraph.py", "stalks.py")
+
+
+def fraction_imports(source: str) -> list:
+    """Line of each ``import fractions`` or ``from fractions import ...``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(node.lineno for a in node.names if a.name.split(".")[0] == "fractions")
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            found.append(node.lineno)
+    return found
+
+
+def test_finds_a_fraction_import():
+    source = "import os\nfrom fractions import Fraction\nimport fractions as f\nx = 1\n"
+    assert fraction_imports(source) == [2, 3]
+
+
+@pytest.mark.parametrize("name", INTEGER_MODULES)
+def test_integer_modules_import_no_fractions(name):
+    assert fraction_imports((PACKAGE / name).read_text()) == []

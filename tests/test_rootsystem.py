@@ -72,18 +72,6 @@ def test_negated_set_closed():
     assert {tuple(-x for x in r) for r in roots} == roots
 
 
-def test_adjoint_weights_sizes():
-    e6 = rsys.build("E", 6)
-    table = rsys.adjoint_weights(e6)
-    assert sum(table.values()) == 78
-    a1 = rsys.build("A", 1)
-    t1 = rsys.adjoint_weights(a1)
-    assert sum(t1.values()) == 3
-    assert set(t1) == {a1.highest_root, tuple(-x for x in a1.highest_root), (0, 0)}
-    a2 = rsys.build("A", 2)
-    assert sum(rsys.adjoint_weights(a2).values()) == 8
-
-
 def test_dominance_examples():
     rs = rsys.build("D", 4)
     theta = rs.highest_root
@@ -100,8 +88,77 @@ def test_two_rho_pairing_with_zero():
 
 
 def test_weyl_vector_halves_two_rho():
+    # The Weyl vector pairs to 1 with every simple coroot, so its double,
+    # the sum of the positive roots, pairs to 2.
     rs = rsys.build("E", 6)
-    assert tuple(2 * x for x in rs.weyl_vector) == tuple(Fraction(c) for c in rs.two_rho)
+    assert [rsys.pairing(rs, rs.two_rho, a) for a in rs.simple_roots] == [2] * rs.rank
+
+
+def fraction_cartan_inverse(rs):
+    """The inverse Cartan matrix by Gauss-Jordan elimination over Fraction."""
+    n = rs.rank
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rs.cartan_matrix)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def oracle_coefficients(rs, inv, v):
+    """Rational simple-root coefficients of the root-span projection of
+    ``v``, and whether ``v`` lies in the span."""
+    p = [Fraction(2 * sum(x * y for x, y in zip(v, a)), rs.root_norm_sq) for a in rs.simple_roots]
+    c = [sum(inv[i][j] * p[j] for j in range(rs.rank)) for i in range(rs.rank)]
+    recon = [sum(ci * a[k] for ci, a in zip(c, rs.simple_roots)) for k in range(rs.ambient_dim)]
+    return c, recon == list(v)
+
+
+@pytest.mark.parametrize(
+    "t,l", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)]
+)
+def test_integer_root_arithmetic_matches_a_fraction_oracle(t, l):
+    """Simple coefficients, the dominance order and the order key agree
+    with a Fraction inverse Cartan matrix on every difference of two
+    weights of theta and, in types A and D, on small vectors off the
+    root span or off the root lattice, such as ``(1,0,0)`` in A2."""
+    rs = rsys.build(t, l)
+    inv = fraction_cartan_inverse(rs)
+    ws = rsys.weights_of(rs, rs.highest_root)
+    pairs = [(u, v) for u in ws for v in ws]
+    if t != "E":
+        small = list(itertools.product(range(-1, 2), repeat=rs.ambient_dim))
+        pairs += [(rsys.zero_vec(rs), v) for v in small]
+    checked = {"off the lattice": 0, "off the span": 0}
+    for nu, lam in pairs:
+        diff = tuple(a - b for a, b in zip(lam, nu))
+        c, in_span = oracle_coefficients(rs, inv, diff)
+        integral = in_span and all(x.denominator == 1 for x in c)
+        checked["off the span"] += not in_span
+        checked["off the lattice"] += in_span and not integral
+        assert rsys.simple_coefficients(rs, diff) == (tuple(map(int, c)) if integral else None)
+        assert rsys.dominance_leq(rs, nu, lam) == (integral and all(x >= 0 for x in c))
+        assert rsys.height_key(rs, diff) == rs.root_norm_sq * sum(c)
+    if t == "A":
+        assert checked["off the span"] > 0
+    if t == "D":
+        assert checked["off the lattice"] > 0
+
+
+def test_pairing_refuses_an_e6_vector_off_the_lattice():
+    rs = rsys.build("E", 6)
+    v = (0, 0, 0, 0, 0, 0, 0, 1)
+    with pytest.raises(ValueError, match="pairs non-integrally"):
+        rsys.pairing(rs, v, rs.simple_roots[0])
+    with pytest.raises(ValueError, match="pairs non-integrally"):
+        rsys.reflect(rs, v, rs.simple_roots[0])
 
 
 def test_total_order_zero_theta():
@@ -115,7 +172,7 @@ def test_total_order_zero_theta():
 
 def test_total_order_theta_last_and_deterministic():
     rs = rsys.build("A", 2)
-    vs = list(rsys.adjoint_weights(rs))
+    vs = rsys.weights_of(rs, rs.highest_root)
     random.Random(0).shuffle(vs)
     order1 = rsys.total_order_extension(vs, rs)
     order2 = rsys.total_order_extension(list(reversed(vs)), rs)
@@ -153,7 +210,7 @@ def test_dominant_representative_is_orbit_max():
 
 def test_orbit_signs_alternate():
     rs = rsys.build("A", 2)
-    lam_rho = tuple(x + r for x, r in zip(rs.highest_root, rs.weyl_vector))
+    lam_rho = tuple(2 * x + r for x, r in zip(rs.highest_root, rs.two_rho))  # 2 theta + 2 rho
     signs = rsys.w_orbit_signed(rs, lam_rho)
     assert len(signs) == 6  # |W(A2)|
     assert sorted(signs.values()).count(-1) == 3
@@ -162,7 +219,7 @@ def test_orbit_signs_alternate():
 @pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)])
 def test_weyl_group_order_is_regular_orbit_size(t, l):
     rs = rsys.build(t, l)
-    assert rsys.weyl_group_order(t, l) == len(rsys.w_orbit_signed(rs, rs.weyl_vector))
+    assert rsys.weyl_group_order(t, l) == len(rsys.w_orbit_signed(rs, rs.two_rho))
 
 
 def test_weyl_group_order_closed_forms():
