@@ -6,6 +6,7 @@ vertex of every truncation, so the recursion is oracle-checked in full,
 not just at the worked values.
 """
 
+import functools
 import hashlib
 import random
 from dataclasses import FrozenInstanceError
@@ -459,21 +460,59 @@ EXTENSION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("t,l,name", sorted(EXTENSION_DIGESTS), ids=lambda x: str(x))
-def test_extension_systems_digest(t, l, name, monkeypatch):
+# sha256 over the kernel vectors of every extension system of a column:
+# each system's ``ncols`` and the vectors ``kernels.nullspace_of_rows``
+# returns for it, in call order.  Unlike ``EXTENSION_DIGESTS`` these do
+# not hash the systems' rows, so they pin the kernels, and with them the
+# new sections, across a change to which rows a system keeps.  Recorded
+# while every system still had one row per boundary slot any image
+# touches.
+KERNEL_DIGESTS = {
+    ("A", 2, "theta"):
+        "d2d34c7691acf853dee36f76700145ceffbea314191fe660db550a5c5680d490",
+    ("A", 2, "2theta"):
+        "78c9d37d416522e36efc93e12cb972ba2ba5de93e3f558addfe232f3cd3c9177",
+    ("A", 3, "theta"):
+        "7e165b29eaa36f4e7cd32d4f31e837a100101be57b42c85a5015644080e68909",
+    ("A", 3, "2omega1"):
+        "afb8dea7a584bb28e0d93f0b4def12b698dce7ebafdc2bcaca4d7f1602bb35e4",
+    ("A", 4, "2omega1"):
+        "529bd72a64b66139512dc4bc812e4a8e90309bf0a446d78ae1f58b2249e0bce8",
+}
+
+
+@functools.cache
+def _column_digests(t, l, name):
+    """(extension digest, kernel digest) of one column's extension systems."""
     rs = rsys.build(t, l)
     tr = Truncation(rs, _coweight(rs, name))
     real = kernels.nullspace_of_rows
-    h = hashlib.sha256()
+    systems, kernel_vectors = hashlib.sha256(), hashlib.sha256()
 
     def digest(rows, ncols):
         rows = list(rows)
         kern = real(rows, ncols)
+        vectors = repr([sorted(v.items()) for v in kern]).encode()
         system = sorted(tuple(sorted(r.items())) for r in rows)
-        h.update(repr((ncols, system)).encode())
-        h.update(repr([sorted(v.items()) for v in kern]).encode())
+        systems.update(repr((ncols, system)).encode())
+        systems.update(vectors)
+        kernel_vectors.update(repr(ncols).encode())
+        kernel_vectors.update(vectors)
         return kern
 
-    monkeypatch.setattr(kernels, "nullspace_of_rows", digest)
-    run_column(build_graph(tr), default_degree_bound(tr))
-    assert h.hexdigest() == EXTENSION_DIGESTS[(t, l, name)]
+    kernels.nullspace_of_rows = digest
+    try:
+        run_column(build_graph(tr), default_degree_bound(tr))
+    finally:
+        kernels.nullspace_of_rows = real
+    return systems.hexdigest(), kernel_vectors.hexdigest()
+
+
+@pytest.mark.parametrize("t,l,name", sorted(EXTENSION_DIGESTS), ids=lambda x: str(x))
+def test_extension_systems_digest(t, l, name):
+    assert _column_digests(t, l, name)[0] == EXTENSION_DIGESTS[(t, l, name)]
+
+
+@pytest.mark.parametrize("t,l,name", sorted(KERNEL_DIGESTS), ids=lambda x: str(x))
+def test_extension_kernels_digest(t, l, name):
+    assert _column_digests(t, l, name)[1] == KERNEL_DIGESTS[(t, l, name)]
