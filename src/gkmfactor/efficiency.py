@@ -1,10 +1,8 @@
 """Geometric-efficiency ratios and their universal bounds.
 
 The efficiency of a class at a weight is the stalk rank there divided
-by a combinatorial count: either the tensor weight-space dimension
-(representation-side reading) or the sum of stalk ranks over the
-colliding vertices (graph-side reading).  Both are exposed because
-their denominators differ; nothing here ever touches floating point.
+by the tensor weight-space dimension; nothing here ever touches
+floating point.
 
 For the adjoint class at the origin the stalk rank equals the Cartan
 rank, giving the closed-form bound ``rank / (rank**2 + #roots)``, which
@@ -78,38 +76,6 @@ def eta_rep(alpha: Vec, nu: Vec, lam: Vec, mu: Vec, rs: RootSystem) -> Fraction:
     if tuple(nu) not in column.ranks:
         raise ValueError(f"{nu} is not a vertex of the {alpha} truncation")
     return Fraction(column.ranks[tuple(nu)], denom)
-
-
-def eta_graph(alpha: Vec, nu: Vec, rs: RootSystem) -> Fraction:
-    """Graph-side efficiency: the stalk rank at ``nu`` over the sum of
-    stalk ranks over the colliding vertex set.
-
-    The colliding set is read as the truncation vertices in the same
-    coroot-lattice coset as ``nu`` (every vertex of an adjoint
-    truncation collides to the origin junction).  That index set is an
-    interpretation: the ratio's denominator is not pinned down further
-    by the sources this implements, so the reading is documented here
-    and kept in one place.
-    """
-    if not rsys.is_dominant(rs, alpha):
-        raise ValueError("alpha must be dominant")
-    column = stalk_ranks(Truncation(rs, tuple(alpha)))
-    nu = tuple(nu)
-    if nu not in column.ranks:
-        raise ValueError(f"{nu} is not a vertex of the {alpha} truncation")
-    colliders = [
-        v
-        for v in column.ranks
-        if _same_coroot_coset(rs, v, nu)
-    ]
-    if not colliders:
-        raise ValueError("empty colliding vertex set")
-    denom = sum(column.ranks[v] for v in colliders)
-    return Fraction(column.ranks[nu], denom)
-
-
-def _same_coroot_coset(rs: RootSystem, u: Vec, v: Vec) -> bool:
-    return rsys.simple_coefficients(rs, tuple(a - b for a, b in zip(u, v))) is not None
 
 
 def adjoint_record(

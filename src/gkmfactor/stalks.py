@@ -57,20 +57,29 @@ element of ``x_l V_s`` as a sum of ``x_l x_j u`` with ``j >= s`` and
 ``x_j u`` in ``V_j``, inside ``W_l``.  So ``S_1 M_d`` is the sum of the
 ``x_i W_i``, as ``M_d = W_0``.  The products of a degree number
 little more than ``dim S_1 M_(d-1)``, not ``n dim M_(d-1)``, and most
-of them are independent.  :class:`kernels.IntRREF` is canonical, so its
-rows, the generators' pivot rows and everything downstream are the same
-as with the full products.
+of them are independent.  A residual as inserted is primitive, positive
+at its pivot and zero at the pivot column of every row kept before it,
+and such a residual is unique up to scale: a nonzero element of the
+span is nonzero at the smallest pivot it involves.  So a generator's
+pivot row depends only on the span of the rows inserted before it,
+``S_1 M_(d-1)`` plus the earlier generators with either products, and
+not on the basis :class:`kernels.IntRREF` keeps for that span (a
+semi-echelon one, never back-substituted); the generators' pivot rows
+and everything downstream are the same as with the full products.
 
 The fibre product's degree-``d`` system has as its columns the images of
 the slots of the new stalk ``F(x)``, followed by the projected
-degree-``d`` generators.  The image of ``x`` slot ``(gi, exp)`` is the
-generator's pivot row when ``exp`` is zero, and otherwise the variable
-of ``exp``'s first nonzero exponent times the image of the slot one
-degree lower.  The kept rows, not those images, feed the generator
-search, because unreduced image rows fill in.  Because ``F(x) -> M_x``
-is onto, every pivot lands on an ``x`` slot, so each kernel vector is
-either one old generator, scaled by a positive integer and extended by a
-component at ``x``, or an element of ``ker(F(x) -> M_x)`` supported at
+degree-``d`` generators.  Its equations are the boundary slots that
+are pivots of the generator search: every column lies in ``M_d``, and
+an element of ``M_d`` that is zero at each of those slots is zero, so
+the kernel is that of the system over every boundary slot.  The image
+of ``x`` slot ``(gi, exp)`` is the generator's pivot row when ``exp`` is
+zero, and otherwise the variable of ``exp``'s first nonzero exponent
+times the image of the slot one degree lower.  The kept rows, not those
+images, feed the generator search, because unreduced image rows fill
+in.  Because ``F(x) -> M_x`` is onto, every pivot lands on an ``x``
+slot, so each kernel vector is either one old generator, scaled by a
+positive integer and extended by a component at ``x``, or an element of ``ker(F(x) -> M_x)`` supported at
 ``x`` alone.  The extended generators and ``ker phi`` together generate
 the new sections.  Of the ``ker phi`` vectors only those whose leading
 slot is not a variable times the leading slot of one in the degree below
@@ -339,15 +348,18 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
             # The fibre product's kernel in degree d.  The x slots come
             # first, so every pivot lands on one (see the module
             # docstring); old generator i is column nx + i, and x column
-            # col becomes section slot base + col.
+            # col becomes section slot base + col.  One equation per pivot
+            # slot of M_d is enough (see the module docstring).
             base = len(slots[d])
             xslots = list(images)
             nx = len(xslots)
+            pivots = rr.pivots
             rows: dict = {}
             for col, image in enumerate([*images.values(), *span]):
                 sign = 1 if col < nx else -1
                 for bslot, c in image.items():
-                    rows.setdefault(bslot, {})[col] = sign * c
+                    if bslot in pivots:
+                        rows.setdefault(bslot, {})[col] = sign * c
             # Shortest rows first: the kernel does not depend on the row
             # order, but the elimination's fill-in does.
             kern = kernels.nullspace_of_rows(sorted(rows.values(), key=len), nx + len(span))
@@ -430,13 +442,6 @@ def stalk_ranks(tr: Truncation) -> ColumnResult:
     if result is None:
         result = _COLUMN_CACHE[key] = run_column(build_graph(tr), default_degree_bound(tr))
     return result
-
-
-def stalk_rank_at(tr: Truncation, vertex: Vec) -> int:
-    result = stalk_ranks(tr)
-    if tuple(vertex) not in result.ranks:
-        raise ValueError(f"{vertex} is not a vertex of the truncation")
-    return result.ranks[tuple(vertex)]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Acceptance suite: every exit criterion, pinned at its stated tolerance.
 
 All equalities are exact (integers and rationals); the per-criterion
-summary is printed by the terminal hook in conftest.  The E6 stalk
-computation is a stretch target marked ``expensive`` and deselected by
-default (run with ``pytest -m expensive``).
+summary is printed by the terminal hook in conftest.  The D5 adjoint
+column and the E6 stalk computation, a stretch target, are marked
+``expensive`` and deselected by default (run with ``pytest -m
+expensive``).
 """
 
 import dataclasses
@@ -49,6 +50,18 @@ def test_criterion_2_adjoint_stalk_rank(t, l):
     elapsed = time.perf_counter() - started
     assert column.ranks[rsys.zero_vec(rs)] == l
     assert elapsed < 30.0, f"{t}{l} took {elapsed:.1f}s"
+
+
+@pytest.mark.expensive
+def test_criterion_2_d5_adjoint_stalk_ranks():
+    # One cold column of 41 vertices whose origin has 40 upward edges;
+    # about a minute and 0.7 GiB in one process.
+    rs = rsys.build("D", 5)
+    theta = rs.highest_root
+    column = stalk_ranks(Truncation(rs, theta))
+    assert column.ranks[rsys.zero_vec(rs)] == 5
+    for v, rank in column.ranks.items():
+        assert rank == weight_multiplicity(theta, v, rs), v
 
 
 @pytest.mark.expensive

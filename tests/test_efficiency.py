@@ -9,7 +9,6 @@ from gkmfactor import rootsystem as rsys
 from gkmfactor.efficiency import (
     adjoint_record,
     eta_bound,
-    eta_graph,
     eta_rep,
     series_report,
     series_specs,
@@ -73,24 +72,6 @@ def test_eta_rep_errors():
         eta_rep(theta, (9, 9, 9), theta, theta, rs)
     with pytest.raises(ValueError, match="must be dominant"):
         eta_rep(theta, zero, (-1, 0, 1), theta, rs)
-
-
-def test_eta_graph_a2():
-    rs = rsys.build("A", 2)
-    assert eta_graph(rs.highest_root, rsys.zero_vec(rs), rs) == Fraction(1, 4)
-
-
-def test_eta_graph_singleton():
-    rs = rsys.build("A", 2)
-    zero = rsys.zero_vec(rs)
-    assert eta_graph(zero, zero, rs) == Fraction(1, 1)
-
-
-def test_eta_graph_at_most_one():
-    rs = rsys.build("A", 2)
-    theta = rs.highest_root
-    for v in [theta, rsys.zero_vec(rs)]:
-        assert eta_graph(theta, v, rs) <= 1
 
 
 def test_eta_rep_bounded_when_stalk_computed():

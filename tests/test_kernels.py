@@ -1,4 +1,5 @@
-"""Canonical-form properties of the integer kernel, against a reference."""
+"""Properties of the integer kernel: the canonical echelon class against
+a reference, and the semi-echelon class against the canonical one."""
 
 import random
 from math import gcd
@@ -10,7 +11,7 @@ from gkmfactor import _kernels_py, kernels
 
 
 class ReferenceRREF:
-    """Oracle for :class:`IntRREF`: clears one hit pivot at a time with
+    """Oracle for :class:`CanonicalRREF`: clears one hit pivot at a time with
     a fraction-free ``combine`` and strips content after every step, and
     builds each nullspace vector by scanning every pivot row."""
 
@@ -120,7 +121,7 @@ def test_reduce_is_membership_test():
 
 def assert_matches_reference(rows, probes, ncols):
     """Feed ``rows`` to both kernels; compare every state and output."""
-    ref, rr = ReferenceRREF(), _kernels_py.IntRREF()
+    ref, rr = ReferenceRREF(), _kernels_py.CanonicalRREF()
     for row in rows:
         assert rr.add(dict(row)) == ref.add(dict(row))
         assert rr.pivots == ref.pivots
@@ -155,3 +156,59 @@ def test_reference_covers_multi_pivot_hits_with_large_leads():
             big = [c for c in probe if c in rr.pivots and rr.pivots[c][c] > 1]
             hard += len(big) >= 3
     assert hard >= 20
+
+
+def assert_semi_echelon_matches_canonical(rows, probes):
+    """Feed ``rows`` to both echelon classes; every insert must return the
+    same pivot and store the same row, and every probe reduce the same."""
+    canon, semi = _kernels_py.CanonicalRREF(), _kernels_py.IntRREF()
+    for row in rows:
+        col = semi.add(dict(row))
+        assert col == canon.add(dict(row))
+        if col is not None:
+            stored = semi.pivot_row(col)
+            assert stored == canon.pivot_row(col)
+            assert min(stored) == col and stored[col] > 0
+            assert _kernels_py.strip_content(dict(stored)) == stored
+        assert semi.rank == canon.rank
+    for probe in probes:
+        residual = semi.reduce(dict(probe))
+        assert residual == canon.reduce(dict(probe))
+    return semi
+
+
+@given(dense_rows, dense_rows)
+def test_semi_echelon_matches_canonical(rows, probes):
+    assert_semi_echelon_matches_canonical(rows, probes)
+
+
+def test_semi_echelon_matches_canonical_on_scaled_fill_in_rows():
+    # Seeded rows scaled by a common factor, so that inserts with no pivot
+    # hit must still be stored content-stripped, and sparse enough that
+    # reductions fill in later pivot columns.
+    rng = random.Random(11)
+    filled = stripped = 0
+    for _ in range(60):
+        ncols = rng.randint(6, 14)
+        rows = [
+            {c: rng.randint(2, 6) * v for c, v in row.items()}
+            for row in random_rows(rng, rng.randint(3, ncols + 2), ncols, density=0.35, lo=-12, hi=12)
+        ]
+        probes = random_rows(rng, 6, ncols, density=0.5, lo=-12, hi=12)
+        semi = _kernels_py.IntRREF()
+        for row in rows:
+            if row and not any(c in semi.pivots for c in row):
+                stripped += _kernels_py.strip_content(dict(row)) != row
+            semi.add(dict(row))
+        filled += any(
+            c in row and c != p for p, row in semi.pivots.items() for c in semi.pivots
+        )
+        assert_semi_echelon_matches_canonical(rows, probes)
+    assert filled >= 20 and stripped >= 20
+
+
+def test_rank_of_rows_uses_the_plain_semi_echelon(monkeypatch):
+    # A profiler replaces kernels.IntRREF to count the rows it gets; the
+    # kernel's own rank helper must not reach that binding.
+    monkeypatch.setattr(kernels, "IntRREF", None)
+    assert kernels.rank_of_rows([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}]) == 2

@@ -24,7 +24,6 @@ from gkmfactor.stalks import (
     estimated_cells,
     multiplicity_matrix,
     run_column,
-    stalk_rank_at,
     stalk_ranks,
 )
 from gkmfactor.weights import weight_multiplicity
@@ -90,7 +89,7 @@ def test_section_space_validates_upper_set():
 @pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3)])
 def test_adjoint_origin_rank_is_cartan_rank(t, l):
     rs = rsys.build(t, l)
-    assert stalk_rank_at(Truncation(rs, rs.highest_root), rsys.zero_vec(rs)) == l
+    assert stalk_ranks(Truncation(rs, rs.highest_root)).ranks[rsys.zero_vec(rs)] == l
 
 
 def test_a2_adjoint_values():
@@ -270,12 +269,6 @@ def test_default_bound_is_the_cache_key():
     assert stalk_ranks(Truncation(rsys.build("A", 3), rs.highest_root)) is col
 
 
-def test_stalk_rank_at_rejects_foreign_vertex():
-    rs = rsys.build("A", 1)
-    with pytest.raises(ValueError):
-        stalk_rank_at(Truncation(rs, rs.highest_root), (5, -5))
-
-
 def test_multiplicity_matrix_a2():
     rs = rsys.build("A", 2)
     m = multiplicity_matrix(Truncation(rs, rs.highest_root))
@@ -441,22 +434,22 @@ def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
 # sha256 over every extension system of a column: each ``(rows, ncols)``
 # handed to ``kernels.nullspace_of_rows`` and each kernel vector it
 # returns, in call order, with a system's rows and every row's entries
-# sorted.  Recorded from the engine before staged products, so any change
-# to a generator's pivot row or to an x slot's image fails here.  The two
-# ``2omega1`` digests were recorded later, from the engine that still kept
-# section generators as nested dicts; with ``2theta`` they pin the
-# extension of an old generator rescaled by a coefficient above one.
+# sorted.  Any change to a generator's pivot row or to an x slot's image
+# fails here.  With ``2theta`` the ``2omega1`` digests pin the extension of
+# an old generator rescaled by a coefficient above one.  Re-recorded when
+# each system kept only the rows at M_d's pivot slots; ``KERNEL_DIGESTS``,
+# recorded before that, checks that the kernels did not change.
 EXTENSION_DIGESTS = {
     ("A", 2, "theta"):
-        "2edd9373af24d4c8b2c3cbf5b07815e2ccb7abdc55c5120e5e0d56f8d2d4c63a",
+        "a5cd940d8ad6167692fc83a439ebe631cc6c641f4498666d5b17d922e0df98dd",
     ("A", 2, "2theta"):
-        "c0235fdbd7668d6b24d69ae9b8c0997d0f0dc87589a12bab257d34f285057541",
+        "ad9b2b9dd0398a45cca891239fdb430140050234b965053027ab6e7d581aff89",
     ("A", 3, "theta"):
-        "d7ca3012e270a8410bb706bac513f1fd383754740d84fc56599ec1fe2ef5e4a1",
+        "031360ea8dd7a28b87f32cd6e5b84f28fb3d8110afa5c216d3be5d9a15e4e1d8",
     ("A", 3, "2omega1"):
-        "35f23764e6aa9cf72e8a4a597dd059330af5387914d650515b0ddbc738b9634b",
+        "6d0f5f597307a2f894725c99de72dca0d29186ba19c9a2d2e80b9b90852e26d1",
     ("A", 4, "2omega1"):
-        "83063d0b21c3473fe5bf6749f06c65f08b7fa0dd9f9c3e3ad1abdeb8f1e8eb1b",
+        "6883374a49a6ce63604ccc58de449e5a969d744d4fa61b55153f0f9a6813ab07",
 }
 
 
