@@ -190,10 +190,11 @@ def test_semi_echelon_matches_canonical_on_scaled_fill_in_rows():
     filled = stripped = 0
     for _ in range(60):
         ncols = rng.randint(6, 14)
-        rows = [
-            {c: rng.randint(2, 6) * v for c, v in row.items()}
-            for row in random_rows(rng, rng.randint(3, ncols + 2), ncols, density=0.35, lo=-12, hi=12)
-        ]
+        sparse = random_rows(rng, rng.randint(3, ncols + 2), ncols, density=0.35, lo=-12, hi=12)
+        rows = []
+        for row in sparse:
+            k = rng.randint(2, 6)
+            rows.append({c: k * v for c, v in row.items()})
         probes = random_rows(rng, 6, ncols, density=0.5, lo=-12, hi=12)
         semi = _kernels_py.IntRREF()
         for row in rows:
