@@ -61,26 +61,24 @@ def _guard_cells(tr, args):
         )
 
 
-# The most (vertex pair, positive root) tests ``graph`` runs:
-# ``build_graph`` checks every vertex pair against every positive root.
-# E8 theta (241 vertices, 3,470,400 tests) builds in about 6 s and D5
-# 2theta (411, 1,685,100) in about 5 s; E6 omega4 (1,063 vertices,
-# 20,320,308 tests) took 41 s (2-vCPU VM, Python 3.11.7).
-MAX_GRAPH_TESTS = 4_000_000
+# The most vertices ``graph`` accepts.  What still grows with them is the
+# edge count, up to V(V-1)/2 when the weights form one root string, and
+# the V^2 ``order`` field of the JSON export.  At the ceiling, A1
+# 249theta (499 vertices, 124,251 edges) exports 15.7 MB of JSON in
+# 3-4 s; E8 theta, D5 2theta and A2 12theta take 0.6-1.0 s.  E6 omega4
+# (1,063 vertices, 22 MB of JSON) is refused (2-vCPU VM, Python 3.11.7).
+MAX_GRAPH_VERTICES = 500
 
 
 def _guard_graph(tr):
-    """Refuse before building a graph with too many pair tests; the
-    vertices are counted only until the ceiling is passed."""
-    roots = len(tr.rs.positive_roots)
+    """Refuse before building a graph with too many vertices; they are
+    counted only until the ceiling is passed."""
     for count, _ in enumerate(rsys.iter_weights(tr.rs, tr.lam), 1):
-        tests = count * (count - 1) // 2 * roots
-        if tests > MAX_GRAPH_TESTS:
+        if count > MAX_GRAPH_VERTICES:
             raise SystemSizeError(
                 f"refusing: the {tr.rs.type_label}{tr.rs.rank} truncation at "
-                f"{list(tr.lam)} has at least {count} vertices, so building its graph "
-                f"takes at least {tests} tests of a vertex pair against a positive "
-                f"root; at most {MAX_GRAPH_TESTS} are supported"
+                f"{list(tr.lam)} has more than {MAX_GRAPH_VERTICES} vertices; "
+                f"graph supports at most {MAX_GRAPH_VERTICES}"
             )
 
 

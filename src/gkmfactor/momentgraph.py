@@ -10,10 +10,18 @@ endpoint to the other.  Labels are stored as integer coefficient
 vectors over (simple roots..., delta), which keeps every downstream
 congruence computation integral.
 
+The weight set is saturated: each alpha-string through a weight is
+unbroken (Humphreys, *Introduction to Lie Algebras and Representation
+Theory*, §21.3).  So the neighbours of ``mu`` along ``alpha`` are the
+run of ``mu + n*alpha`` that stays in the set, and edges are found by
+walking root strings through a vertex index, not by testing pairs.
+
 Labels at the origin of an adjoint truncation come in pairs
 ``gamma + delta, gamma - delta``; without the loop direction delta they
 would be proportional and the GKM independence of incident labels would
-fail.  Independence is asserted for every constructed graph.
+fail.  Independence is asserted for every constructed graph: two labels
+are proportional exactly when their primitive forms are equal, so the
+labels at a vertex are grouped by primitive form.
 
 The recursion order on vertices grades each fixed point by the
 dimension of its attracting cell,
@@ -33,7 +41,7 @@ import json
 from dataclasses import dataclass
 
 from . import rootsystem as rsys
-from .poly import forms_proportional, primitive_form
+from .poly import primitive_form
 from .rootsystem import RootSystem, Vec
 
 
@@ -136,19 +144,6 @@ class MomentGraph:
         )
 
 
-def _edge_datum(rs: RootSystem, mu: Vec, nu: Vec):
-    """The (positive root, n) with nu - mu = n*root, or None."""
-    diff = tuple(a - b for a, b in zip(nu, mu))
-    for alpha in rs.positive_roots:
-        k = next(i for i, c in enumerate(alpha) if c)
-        if diff[k] % alpha[k]:
-            continue
-        n = diff[k] // alpha[k]
-        if n and all(d == n * a for d, a in zip(diff, alpha)):
-            return alpha, n
-    return None
-
-
 def build_graph(tr: Truncation) -> MomentGraph:
     """Construct the moment graph of a truncation.
 
@@ -157,16 +152,20 @@ def build_graph(tr: Truncation) -> MomentGraph:
     """
     rs = tr.rs
     vertices = rsys.total_order_extension(tr.vertex_set(), rs)
+    index = {v: i for i, v in enumerate(vertices)}
     edges = []
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            datum = _edge_datum(rs, vertices[i], vertices[j])
-            if datum is None:
-                continue
-            alpha, n = datum
-            k = n + rsys.pairing(rs, vertices[i], alpha)
-            label = tuple(rs.root_simple_coeffs[alpha]) + (k,)
-            edges.append(Edge(i, j, label))
+    for i, mu in enumerate(vertices):
+        # mu + n alpha (n > 0) sits higher in the order, so each edge is
+        # found once, from its lower endpoint.
+        for alpha in rs.positive_roots:
+            nu = tuple(x + a for x, a in zip(mu, alpha))
+            n = 1
+            while nu in index:
+                k = n + rsys.pairing(rs, mu, alpha)
+                edges.append(Edge(i, index[nu], rs.root_simple_coeffs[alpha] + (k,)))
+                nu = tuple(x + a for x, a in zip(nu, alpha))
+                n += 1
+    edges.sort(key=lambda e: (e.u, e.v))
     g = MomentGraph(rs, tr.lam, vertices, edges)
     bad = gkm_violations(g)
     if bad:
@@ -182,15 +181,17 @@ def build_graph(tr: Truncation) -> MomentGraph:
 
 
 def gkm_violations(g: MomentGraph) -> list:
-    """Pairs of proportional labels at a common vertex (empty when GKM holds)."""
+    """Pairs of proportional labels at a common vertex (empty when GKM
+    holds), in the order of their positions around the vertex."""
     out = []
     for i, v in enumerate(g.vertices):
         labels = [g.edges[k].label for k in g.adjacency[i]]
         prims = [primitive_form(l) for l in labels]
-        for a in range(len(prims)):
-            for b in range(a + 1, len(prims)):
-                if forms_proportional(prims[a], prims[b]):
-                    out.append((v, labels[a], labels[b]))
+        group: dict[tuple[int, ...], list[int]] = {}
+        for b, p in enumerate(prims):
+            group.setdefault(p, []).append(b)
+        for a, p in enumerate(prims):
+            out.extend((v, labels[a], labels[b]) for b in group[p] if b > a)
     return out
 
 

@@ -55,16 +55,6 @@ def form_is_zero(form) -> bool:
     return all(c == 0 for c in form)
 
 
-def forms_proportional(f, g) -> bool:
-    """Whether two linear forms span the same line (2x2 minors vanish)."""
-    n = len(f)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if f[i] * g[j] - f[j] * g[i] != 0:
-                return False
-    return True
-
-
 def primitive_form(form) -> tuple[int, ...]:
     """Content-stripped, sign-normalized copy (first nonzero entry > 0)."""
     g = 0

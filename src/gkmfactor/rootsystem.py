@@ -128,7 +128,6 @@ class RootSystem:
     root_norm_sq: int = field(compare=False)
     two_rho: Vec = field(compare=False)
     root_simple_coeffs: dict = field(compare=False, repr=False)
-    _domrep_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _coeff_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -308,9 +307,6 @@ def is_dominant(rs: RootSystem, v: Vec) -> bool:
 
 def dominant_representative(rs: RootSystem, v: Vec) -> Vec:
     """The unique dominant vector in the Weyl orbit of ``v``."""
-    cached = rs._domrep_cache.get(v)
-    if cached is not None:
-        return cached
     w = v
     while True:
         for a in rs.simple_roots:
@@ -318,9 +314,7 @@ def dominant_representative(rs: RootSystem, v: Vec) -> Vec:
                 w = reflect(rs, w, a)
                 break
         else:
-            break
-    rs._domrep_cache[v] = w
-    return w
+            return w
 
 
 def dominance_leq(rs: RootSystem, nu: Vec, lam: Vec) -> bool:
@@ -339,18 +333,23 @@ def total_order_extension(coweights, rs: RootSystem) -> list[Vec]:
     return sorted(coweights, key=lambda v: (height_key(rs, v), v))
 
 
-def w_orbit(rs: RootSystem, v: Vec) -> list:
-    """Weyl orbit of an integral coweight, sorted."""
-    seen = {tuple(v)}
-    queue = [tuple(v)]
-    while queue:
-        x = queue.pop()
+def _orbit(rs: RootSystem, v: Vec):
+    """The Weyl orbit of an integral coweight, one point at a time in
+    breadth-first order from ``v`` along simple reflections."""
+    seen = {v}
+    queue = [v]
+    for x in queue:
+        yield x
         for a in rs.simple_roots:
             y = reflect(rs, x, a)
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    return sorted(seen)
+
+
+def w_orbit(rs: RootSystem, v: Vec) -> list:
+    """Weyl orbit of an integral coweight, sorted."""
+    return sorted(_orbit(rs, tuple(v)))
 
 
 def w_orbit_signed(rs: RootSystem, v: Vec) -> dict:
@@ -385,28 +384,39 @@ def weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
     return sorted(iter_weights(rs, lam))
 
 
-def iter_weights(rs: RootSystem, lam: Vec):
-    """The weights of :func:`weights_of`, one at a time in the order
-    found, so a caller can stop before a large set is enumerated."""
+def _dominant_walk(rs: RootSystem, lam: Vec):
+    """The weights of :func:`dominant_weights_of`, one at a time."""
     if not is_dominant(rs, lam):
         raise ValueError("highest coweight must be dominant")
     seen = {lam}
     queue = [lam]
-    yield lam
-    while queue:
-        v = queue.pop()
-        for a in rs.simple_roots:
-            w = tuple(x - y for x, y in zip(v, a))
-            if w in seen:
-                continue
-            if dominance_leq(rs, dominant_representative(rs, w), lam):
-                seen.add(w)
-                queue.append(w)
-                yield w
+    for mu in queue:
+        yield mu
+        for a in rs.positive_roots:
+            nu = tuple(x - y for x, y in zip(mu, a))
+            if nu not in seen and is_dominant(rs, nu):
+                seen.add(nu)
+                queue.append(nu)
+
+
+def iter_weights(rs: RootSystem, lam: Vec):
+    """The weights of :func:`weights_of`, one at a time, so a caller can
+    stop before a large set is enumerated: the Weyl orbit of each
+    dominant weight (Stembridge's walk, :func:`dominant_weights_of`),
+    walked point by point."""
+    for mu in _dominant_walk(rs, lam):
+        yield from _orbit(rs, mu)
 
 
 def dominant_weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
-    return [v for v in weights_of(rs, lam) if is_dominant(rs, v)]
+    """The dominant coweights dominance-below ``lam``, sorted.
+
+    Each is reached from ``lam`` through dominant coweights by
+    subtracting one positive root at a time (Stembridge, *The partial
+    order of dominant weights*, Adv. Math. 1998), so the walk keeps the
+    dominant results and tests no other candidate.
+    """
+    return sorted(_dominant_walk(rs, lam))
 
 
 def fundamental_coweight(rs: RootSystem, i: int) -> Vec:

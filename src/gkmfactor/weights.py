@@ -173,41 +173,31 @@ def freudenthal_weight_table(lam: Vec, rs: RootSystem) -> dict[Vec, int]:
     if cached is not None:
         return dict(cached)
 
-    weight_set = set(rsys.weights_of(rs, lam))
-    dominants = sorted(
-        (v for v in weight_set if rsys.is_dominant(rs, v)),
-        key=lambda v: (rsys.height_key(rs, v), v),
-        reverse=True,
-    )
+    dominants = reversed(rsys.total_order_extension(rsys.dominant_weights_of(rs, lam), rs))
 
     def norm4(v):  # |2 v + 2 rho|^2 = 4 |v + rho|^2
         return sum((2 * x + r) ** 2 for x, r in zip(v, rs.two_rho))
 
     lam_norm = norm4(lam)
 
-    mult: dict[Vec, int] = {}
-    for idx, mu in enumerate(dominants):
-        if idx == 0:
-            mult[mu] = 1
-            continue
-        num = 0
-        for alpha in rs.positive_roots:
-            k = 1
-            while True:
-                w = tuple(x + k * a for x, a in zip(mu, alpha))
-                if w not in weight_set:
-                    break
-                rep = rsys.dominant_representative(rs, w)
-                num += sum(x * a for x, a in zip(w, alpha)) * mult[rep]
-                k += 1
-        # 2 num / (|lam + rho|^2 - |mu + rho|^2), from the norms times 4.
-        value, rest = divmod(8 * num, lam_norm - norm4(mu))
-        if rest or value <= 0:
-            raise AssertionError("Freudenthal recursion produced a non-positive or fractional value")
-        mult[mu] = value
-
+    # Orbit by orbit from the top: mu + k alpha (k > 0) has a dominant
+    # conjugate strictly above mu, so it is in the table exactly when it
+    # is a weight, and the alpha-string stops at the first miss.
     table: dict[Vec, int] = {}
-    for mu, m in mult.items():
+    for mu in dominants:
+        if mu == lam:
+            m = 1
+        else:
+            num = 0
+            for alpha in rs.positive_roots:
+                w = tuple(x + a for x, a in zip(mu, alpha))
+                while w in table:
+                    num += sum(x * a for x, a in zip(w, alpha)) * table[w]
+                    w = tuple(x + a for x, a in zip(w, alpha))
+            # 2 num / (|lam + rho|^2 - |mu + rho|^2), from the norms times 4.
+            m, rest = divmod(8 * num, lam_norm - norm4(mu))
+            if rest or m <= 0:
+                raise AssertionError("Freudenthal recursion produced a non-positive or fractional value")
         for v in rsys.w_orbit(rs, mu):
             table[v] = m
     _FREUDENTHAL_MEMO[key] = dict(table)

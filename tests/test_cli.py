@@ -312,31 +312,40 @@ def test_huge_vertex_set_refused_without_enumerating_it(no_graph, argv, estimate
 
 
 def test_graph_refuses_a_large_truncation_before_building_it(no_graph, capsys):
-    # E6 omega4 has 1,063 vertices; building its graph took 41 s.  The
-    # vertices are counted only until the ceiling is passed.
+    # E6 omega4 has 1,063 vertices and 26,028 edges, and its JSON export
+    # is 22 MB.  The vertices are counted only until the ceiling is passed.
     start = time.perf_counter()
     code, out = capture(
         ["graph", "--type", "E", "--rank", "6", "--coweight", "omega4", "--format", "json"]
     )
     assert time.perf_counter() - start < 5
     assert code == 1 and out == ""
-    err = capsys.readouterr().err
-    assert err.startswith(
-        "error: refusing: the E6 truncation at [0, 0, 2, 2, 2, -2, -2, 2] has at least "
-        "472 vertices, so building its graph takes at least 4001616 tests"
+    assert capsys.readouterr().err == (
+        "error: refusing: the E6 truncation at [0, 0, 2, 2, 2, -2, -2, 2] has more than "
+        f"{cli.MAX_GRAPH_VERTICES} vertices; graph supports at most {cli.MAX_GRAPH_VERTICES}\n"
     )
-    assert err.endswith(f"at most {cli.MAX_GRAPH_TESTS} are supported\n")
+
+
+@pytest.mark.parametrize("rank,coweight", [("1", "1000,-1000"), ("6", "3,0,0,0,0,0,-3")])
+def test_graph_refuses_many_vertices_on_few_roots(no_graph, rank, coweight, capsys):
+    # A1 1000theta (2,001 vertices) is one root string, so its graph is
+    # complete: a ceiling on pair tests times roots admitted it.  A6
+    # 3theta has 3,067 vertices.
+    code, out = capture(["graph", "--type", "A", "--rank", rank, "--coweight", coweight,
+                         "--format", "json"])
+    assert code == 1 and out == ""
+    assert f"has more than {cli.MAX_GRAPH_VERTICES} vertices" in capsys.readouterr().err
 
 
 def test_graph_ceiling_is_inclusive(monkeypatch, capsys):
-    # D5 theta: 41 vertices, 820 pairs, 20 positive roots.
+    # D5 theta has 41 vertices.
     argv = ["graph", "--type", "D", "--rank", "5", "--coweight", "theta", "--format", "dot"]
-    monkeypatch.setattr(cli, "MAX_GRAPH_TESTS", 16_400)
+    monkeypatch.setattr(cli, "MAX_GRAPH_VERTICES", 41)
     code, out = capture(argv)
     assert code == 0 and out.count(" -- ") > 0
-    monkeypatch.setattr(cli, "MAX_GRAPH_TESTS", 16_399)
+    monkeypatch.setattr(cli, "MAX_GRAPH_VERTICES", 40)
     assert capture(argv) == (1, "")
-    assert "has at least 41 vertices" in capsys.readouterr().err
+    assert "has more than 40 vertices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

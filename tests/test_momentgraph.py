@@ -1,11 +1,15 @@
-"""Moment graph construction against a brute-force edge-rule oracle."""
+"""Moment graph construction against a brute-force edge-rule oracle
+and against the direct constructions of ``graph_oracle``."""
 
+import itertools
 import json
 
 import pytest
 
 from gkmfactor import rootsystem as rsys
 from gkmfactor.momentgraph import (
+    Edge,
+    MomentGraph,
     Truncation,
     build_graph,
     export_graph,
@@ -13,6 +17,8 @@ from gkmfactor.momentgraph import (
     import_graph,
 )
 from gkmfactor.poly import primitive_form
+from gkmfactor.weights import freudenthal_weight_table
+from graph_oracle import freudenthal_table, membership_weights, pair_edges
 
 
 def brute_edges(rs, vertices):
@@ -192,3 +198,71 @@ def test_unknown_format_rejected():
     g = build_graph(Truncation(rs, rs.highest_root))
     with pytest.raises(ValueError):
         export_graph(g, "gml")
+
+
+def test_gkm_violations_order():
+    # Five labels at vertex 0 in three proportionality classes, and one
+    # proportional pair at vertex 1: the triples come by vertex, then by
+    # the first label's position, then by the second's.
+    rs = rsys.build("A", 2)
+    vs = rsys.weights_of(rs, rs.highest_root)[:6]
+    labels = [(1, 1, 0), (0, 1, 1), (2, 2, 0), (0, -1, -1), (-1, -1, 0)]
+    edges = [Edge(0, j, l) for j, l in enumerate(labels, 1)]
+    edges += [Edge(1, 2, (1, 0, 0)), Edge(1, 3, (-2, 0, 0))]
+    g = MomentGraph(rs, rs.highest_root, vs, edges)
+    assert gkm_violations(g) == [
+        (vs[0], (1, 1, 0), (2, 2, 0)),
+        (vs[0], (1, 1, 0), (-1, -1, 0)),
+        (vs[0], (0, 1, 1), (0, -1, -1)),
+        (vs[0], (2, 2, 0), (-1, -1, 0)),
+        (vs[1], (1, 0, 0), (-2, 0, 0)),
+    ]
+
+
+def _sums_of_two(t, r):
+    """(type, rank, coweight) for every dominant coweight of ``t r`` that is
+    a sum of at most two integral fundamental coweights or theta and has
+    at most 150 weights; theta = omega2 on D4, D5 and E6 counts once."""
+    rs = rsys.build(t, r)
+    gens = [rs.highest_root]
+    for i in range(1, r + 1):
+        try:
+            gens.append(rsys.fundamental_coweight(rs, i))
+        except ValueError:
+            pass
+    lams = {rsys.zero_vec(rs)} | set(gens)
+    lams |= {tuple(map(sum, zip(a, b))) for a, b in itertools.combinations_with_replacement(gens, 2)}
+    return [
+        (t, r, lam) for lam in sorted(lams)
+        if sum(1 for _ in itertools.islice(rsys.iter_weights(rs, lam), 151)) <= 150
+    ]
+
+
+def _assert_matches_oracles(rs, lam):
+    weights = membership_weights(rs, lam)
+    assert rsys.weights_of(rs, lam) == weights
+    assert rsys.dominant_weights_of(rs, lam) == [v for v in weights if rsys.is_dominant(rs, v)]
+    assert list(freudenthal_weight_table(lam, rs).items()) == list(freudenthal_table(rs, lam).items())
+    g = build_graph(Truncation(rs, lam))
+    assert g.vertices == tuple(rsys.total_order_extension(weights, rs))
+    assert list(g.edges) == pair_edges(rs, g.vertices)
+
+
+ORACLE_CASES = [
+    case
+    for t, r in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)]
+    for case in _sums_of_two(t, r)
+]
+
+
+@pytest.mark.parametrize("t,r,lam", ORACLE_CASES, ids=lambda x: str(x).replace(" ", ""))
+def test_structured_walks_match_oracles(t, r, lam):
+    _assert_matches_oracles(rsys.build(t, r), lam)
+
+
+@pytest.mark.expensive
+@pytest.mark.parametrize("t,r,times", [("E", 7, 1), ("E", 8, 1), ("A", 5, 2), ("D", 5, 2)])
+def test_structured_walks_match_oracles_on_large_truncations(t, r, times):
+    # The pair scan takes 1-6 s on each of these.
+    rs = rsys.build(t, r)
+    _assert_matches_oracles(rs, tuple(times * x for x in rs.highest_root))
