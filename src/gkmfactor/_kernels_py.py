@@ -3,27 +3,32 @@
 A row is a dict mapping column index to a nonzero Python int.  All
 elimination is fraction free: a pivot step replaces ``row`` by
 ``(a//g)*row - (b//g)*pivot_row`` with ``g = gcd(a, b)``, followed by
-content stripping, so entries stay integral and small.  Ranks, kernels
-and reduced bases computed here are exact over the rationals.
+content stripping, so entries stay integral and small.  Ranks and
+kernels computed here are exact over the rationals.
 
-Two echelon classes share that arithmetic.  In both, each stored row is
-primitive (content 1) and has a positive pivot entry at its smallest
-column, and a new row's residual has zeros at every pivot column.  Such
-a residual is unique up to scale, since a nonzero element of the row
-space is nonzero at the smallest pivot it involves, so both classes
-return the same residuals, pivots and ranks for the same rows.
+One echelon class, :class:`IntRREF`, does all elimination.  It is a
+semi-echelon basis: each stored row is the residual as inserted,
+primitive (content 1), positive at its pivot, its smallest column, and
+zero at the pivot column of every row stored before it; it is never
+back-substituted, so a stored row may hold later pivot columns.  A
+residual is unique up to scale, since a nonzero element of the row space
+is nonzero at the smallest pivot it involves, so the residuals, pivots
+and ranks depend only on the span of the rows inserted before.
 
-* :class:`IntRREF` is a semi-echelon basis: it stores each residual as
-  it is inserted and never back-substitutes, so a stored row may hold
-  later pivot columns.  It serves the incremental searches that read
-  only residuals and ranks (``stalks.run_column``'s generator search,
-  :func:`rank_of_rows`).
-* :class:`CanonicalRREF` re-reduces its stored rows after every insert,
-  keeping the canonical reduced echelon form that :func:`echelon` and
-  :func:`nullspace_of_rows` need: no stored row touches another pivot's
-  column, so each free column's kernel vector reads off the rows
-  directly, and the basis, like everything built from it, is
-  independent of the row order.
+:func:`nullspace_of_rows` reads the kernel off column dependencies.  It
+inserts the system's columns in order, as vectors over the ``m``
+equation indices, column ``f`` tagged with a marker entry ``1`` at index
+``m + f``.  The stored rows span the tagged independent columns, so when
+a column's equation part reduces to zero, its markers are a relation
+between ``f`` and the independent columns before it.  Those columns are
+linearly independent, so that relation is unique up to scale; the
+marker at ``f`` starts at 1 and is only ever multiplied by positive
+factors, so the residual is the unique primitive kernel vector
+supported on ``f`` and the independent columns before it, positive at
+``f``.  That is the kernel vector of free column ``f`` read off the
+canonical reduced echelon form, since its pivot columns are exactly
+the columns independent of all earlier ones, and so the kernel basis
+does not depend on the order of the rows.
 """
 
 from __future__ import annotations
@@ -47,29 +52,13 @@ def strip_content(row):
     return row
 
 
-def combine(a, row_a, b, row_b):
-    """Return ``a*row_a + b*row_b`` as a new content-stripped row."""
-    out = {}
-    for c, v in row_a.items():
-        out[c] = a * v
-    for c, v in row_b.items():
-        w = out.get(c, 0) + b * v
-        if w:
-            out[c] = w
-        elif c in out:
-            del out[c]
-    return strip_content(out)
-
-
 class IntRREF:
     """Incremental semi-echelon basis over Q with integer rows.
 
     The pivot of a new row is its smallest surviving column.  Each
     stored row is the residual as inserted: primitive, positive at its
     pivot and zero at the pivot column of every row stored before it,
-    with entries only at columns at or after its pivot.  So
-    :meth:`pivot_row` read right after :meth:`add` is the row
-    :class:`CanonicalRREF` would store.
+    with entries only at columns at or after its pivot.
     """
 
     def __init__(self):
@@ -141,120 +130,6 @@ class IntRREF:
         return [(c, dict(self.pivots[c])) for c in sorted(self.pivots)]
 
 
-class CanonicalRREF:
-    """Incremental reduced row echelon form over Q with integer rows.
-
-    The pivot of a new row is its smallest surviving column.  Stored
-    rows are fully reduced against each other, primitive, and have a
-    positive pivot, so the basis is the canonical RREF of the row space
-    up to the per-row integer scaling.  Because no stored row touches
-    another pivot's column, :meth:`reduce` clears every pivot it hits in
-    one scaled pass and strips content once.
-    """
-
-    def __init__(self):
-        self.pivots = {}
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def reduce(self, row):
-        """Residual of ``row`` modulo the current row space (new dict).
-
-        The primitive, positively scaled Q-residual when ``row`` hits a
-        pivot; otherwise an unchanged copy of ``row``.
-        """
-        pivots = self.pivots
-        hit = [(c, v) for c, v in row.items() if c in pivots]
-        if not hit:
-            return dict(row)
-        # Smallest positive scale that makes every pivot multiple integral.
-        scale = 1
-        for c, v in hit:
-            a = pivots[c][c]
-            q = a // gcd(a, v)
-            scale = scale * q // gcd(scale, q)
-        r = {c: scale * v for c, v in row.items()} if scale > 1 else dict(row)
-        for c, v in hit:
-            p = pivots[c]
-            f = scale * v // p[c]
-            for k, w in p.items():
-                x = r.get(k, 0) - f * w
-                if x:
-                    r[k] = x
-                else:
-                    del r[k]
-        return strip_content(r)
-
-    def add(self, row):
-        """Insert a row; return its pivot column, or None if dependent.
-
-        After a successful insert the stored basis is re-reduced so the
-        RREF stays canonical.
-        """
-        r = self.reduce(row)
-        if not r:
-            return None
-        col = min(r)
-        if r[col] < 0:
-            r = {c: -v for c, v in r.items()}
-        strip_content(r)
-        for c2 in list(self.pivots):
-            p2 = self.pivots[c2]
-            v = p2.get(col)
-            if v:
-                a = r[col]
-                g = gcd(a, v)
-                self.pivots[c2] = combine(a // g, p2, -(v // g), r)
-        self.pivots[col] = r
-        return col
-
-    def pivot_row(self, col):
-        """Copy of the stored (reduced, primitive) row with this pivot."""
-        return dict(self.pivots[col])
-
-    def pivot_items(self):
-        """(pivot column, row copy) pairs in ascending column order."""
-        return [(c, dict(self.pivots[c])) for c in sorted(self.pivots)]
-
-    def nullspace(self, ncols):
-        """Basis of the right kernel of the accumulated rows.
-
-        One primitive integer vector per free column, in ascending free
-        column order.
-        """
-        piv = self.pivots
-        # Free column -> (pivot column, row) pairs, pivots ascending.
-        touching: dict = {}
-        for c, row in sorted(piv.items()):
-            for f in row:
-                if f != c:
-                    touching.setdefault(f, []).append((c, row))
-        basis = []
-        for f in range(ncols):
-            if f in piv:
-                continue
-            entries = touching.get(f, ())
-            scale = 1
-            for c, row in entries:
-                d = row[c]
-                scale = scale * d // gcd(scale, d)
-            vec = {f: scale}
-            for c, row in entries:
-                vec[c] = -row[f] * (scale // row[c])
-            basis.append(strip_content(vec))
-        return basis
-
-
-def echelon(rows):
-    """Feed ``rows`` into a fresh CanonicalRREF and return it."""
-    rr = CanonicalRREF()
-    for row in rows:
-        rr.add(row)
-    return rr
-
-
 def rank_of_rows(rows):
     rr = IntRREF()
     for row in rows:
@@ -263,4 +138,22 @@ def rank_of_rows(rows):
 
 
 def nullspace_of_rows(rows, ncols):
-    return echelon(rows).nullspace(ncols)
+    """Basis of the right kernel of ``rows`` over columns ``0..ncols-1``.
+
+    One primitive integer vector per free column, positive there, in
+    ascending free column order (see the module docstring).
+    """
+    m = len(rows)
+    columns = [{m + f: 1} for f in range(ncols)]
+    for i, row in enumerate(rows):
+        for f, v in row.items():
+            columns[f][i] = v
+    rr = IntRREF()
+    basis = []
+    for column in columns:
+        r = rr.reduce(column)
+        if min(r) < m:
+            rr.add(r)
+        else:
+            basis.append({c - m: v for c, v in r.items()})
+    return basis

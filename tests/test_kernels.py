@@ -1,64 +1,14 @@
-"""Properties of the integer kernel: the canonical echelon class against
-a reference, and the semi-echelon class against the canonical one."""
+"""Properties of the integer kernel against the canonical reduced echelon
+form of ``kernel_oracle``: the semi-echelon class after every insert, and
+the nullspace read off column dependencies."""
 
 import random
-from math import gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gkmfactor import _kernels_py, kernels
-
-
-class ReferenceRREF:
-    """Oracle for :class:`CanonicalRREF`: clears one hit pivot at a time with
-    a fraction-free ``combine`` and strips content after every step, and
-    builds each nullspace vector by scanning every pivot row."""
-
-    def __init__(self):
-        self.pivots = {}
-
-    def reduce(self, row):
-        r = dict(row)
-        for c in sorted(c for c in r if c in self.pivots):
-            v = r.get(c)
-            if not v:
-                continue
-            p = self.pivots[c]
-            g = gcd(p[c], v)
-            r = _kernels_py.combine(p[c] // g, r, -(v // g), p)
-        return r
-
-    def add(self, row):
-        r = self.reduce(row)
-        if not r:
-            return None
-        col = min(r)
-        if r[col] < 0:
-            r = {c: -v for c, v in r.items()}
-        _kernels_py.strip_content(r)
-        for c2, p2 in list(self.pivots.items()):
-            v = p2.get(col)
-            if v:
-                g = gcd(r[col], v)
-                self.pivots[c2] = _kernels_py.combine(r[col] // g, p2, -(v // g), r)
-        self.pivots[col] = r
-        return col
-
-    def nullspace(self, ncols):
-        basis = []
-        for f in range(ncols):
-            if f in self.pivots:
-                continue
-            entries = [(c, row) for c, row in sorted(self.pivots.items()) if f in row]
-            scale = 1
-            for c, row in entries:
-                scale = scale * row[c] // gcd(scale, row[c])
-            vec = {f: scale}
-            for c, row in entries:
-                vec[c] = -row[f] * (scale // row[c])
-            basis.append(_kernels_py.strip_content(vec))
-        return basis
+from kernel_oracle import ReferenceRREF, combine, reference_nullspace
 
 
 def random_rows(rng, nrows, ncols, density=0.4, lo=-9, hi=9):
@@ -83,16 +33,23 @@ def test_strip_content():
 def test_combine_cancels():
     a = {0: 2, 1: 3}
     b = {0: 1, 2: 5}
-    out = _kernels_py.combine(1, a, -2, b)
+    out = combine(1, a, -2, b)
     assert out == {1: 3, 2: -10}
 
 
-def test_rref_canonical_under_row_order():
+def test_nullspace_independent_of_row_order():
+    # stalks.run_column hands each extension system's rows over in an
+    # order of its choosing; the kernel list must not depend on it.
     rng = random.Random(7)
-    rows = random_rows(rng, 8, 6)
-    rr1 = _kernels_py.echelon(rows)
-    rr2 = _kernels_py.echelon(list(reversed(rows)))
-    assert rr1.pivots == rr2.pivots
+    for _ in range(30):
+        ncols = rng.randint(4, 12)
+        rows = random_rows(rng, rng.randint(1, ncols), ncols, density=0.4, lo=-9, hi=9)
+        kern = kernels.nullspace_of_rows(rows, ncols)
+        for _ in range(3):
+            shuffled = list(rows)
+            rng.shuffle(shuffled)
+            assert kernels.nullspace_of_rows(shuffled, ncols) == kern
+        assert kern == reference_nullspace(rows, ncols)
 
 
 def test_nullspace_annihilated():
@@ -119,16 +76,10 @@ def test_reduce_is_membership_test():
     assert rr.reduce({0: 1, 1: 1, 2: 1})
 
 
-def assert_matches_reference(rows, probes, ncols):
-    """Feed ``rows`` to both kernels; compare every state and output."""
-    ref, rr = ReferenceRREF(), _kernels_py.CanonicalRREF()
-    for row in rows:
-        assert rr.add(dict(row)) == ref.add(dict(row))
-        assert rr.pivots == ref.pivots
-    for probe in probes:
-        assert rr.reduce(probe) == ref.reduce(probe)
-    assert rr.nullspace(ncols) == ref.nullspace(ncols)
-    return rr
+def assert_nullspace_matches_reference(rows, ncols):
+    kern = kernels.nullspace_of_rows([dict(r) for r in rows], ncols)
+    assert kern == reference_nullspace(rows, ncols)
+    return kern
 
 
 dense_rows = st.lists(
@@ -136,41 +87,67 @@ dense_rows = st.lists(
 ).map(lambda mat: [{j: v for j, v in enumerate(r) if v} for r in mat])
 
 
-@given(dense_rows, dense_rows)
-def test_one_pass_reduce_matches_reference(rows, probes):
-    assert_matches_reference(rows, probes, 7)
+@given(dense_rows)
+def test_nullspace_matches_reference(rows):
+    assert_nullspace_matches_reference(rows, 7)
+
+
+def test_nullspace_edge_cases_match_reference():
+    # No rows at all: every column is free, with kernel vector {f: 1}.
+    assert assert_nullspace_matches_reference([], 4) == [{f: 1} for f in range(4)]
+    # An all-zero column, between and after touched ones.
+    kern = assert_nullspace_matches_reference([{0: 3, 2: -6}, {0: 1, 3: 2}], 5)
+    assert {1: 1} in kern and {4: 1} in kern
+    # Free columns past the largest column any row touches.
+    kern = assert_nullspace_matches_reference([{0: 2, 1: -4}, {1: 3}], 6)
+    assert kern == [{2: 1}, {3: 1}, {4: 1}, {5: 1}]
+    # Rows scaled by 2-6: the kernel is that of the unscaled rows.
+    rng = random.Random(13)
+    for _ in range(30):
+        ncols = rng.randint(3, 10)
+        rows = random_rows(rng, rng.randint(1, ncols), ncols, density=0.5)
+        scaled = []
+        for row in rows:
+            k = rng.randint(2, 6)
+            scaled.append({c: k * v for c, v in row.items()})
+        kern = assert_nullspace_matches_reference(scaled, ncols)
+        assert kern == kernels.nullspace_of_rows(rows, ncols)
 
 
 def test_reference_covers_multi_pivot_hits_with_large_leads():
-    # Seeded systems whose probes hit several pivots with leading entries
-    # above 1, the case where one-pass scaling differs most from clearing
-    # pivots one at a time.
+    # Seeded systems whose kernel vectors combine several pivot rows with
+    # leading entries above 1 in the canonical form, the case where the
+    # column-dependency kernel and the back-substituted one scale their
+    # entries most differently.
     rng = random.Random(5)
     hard = 0
     for _ in range(60):
         ncols = rng.randint(6, 12)
         rows = random_rows(rng, rng.randint(3, ncols), ncols, density=0.6, lo=-12, hi=12)
-        probes = random_rows(rng, 6, ncols, density=0.8, lo=-12, hi=12)
-        rr = assert_matches_reference(rows, probes, ncols)
-        for probe in probes:
-            big = [c for c in probe if c in rr.pivots and rr.pivots[c][c] > 1]
-            hard += len(big) >= 3
+        assert_nullspace_matches_reference(rows, ncols)
+        ref = ReferenceRREF()
+        for row in rows:
+            ref.add(row)
+        for f in range(ncols):
+            big = [c for c, p in ref.pivots.items() if f in p and p[c] > 1]
+            hard += f not in ref.pivots and len(big) >= 3
     assert hard >= 20
 
 
 def assert_semi_echelon_matches_canonical(rows, probes):
-    """Feed ``rows`` to both echelon classes; every insert must return the
-    same pivot and store the same row, and every probe reduce the same."""
-    canon, semi = _kernels_py.CanonicalRREF(), _kernels_py.IntRREF()
+    """Feed ``rows`` to the semi-echelon class and the reference; every
+    insert must return the same pivot and store the row the canonical
+    form holds right after it, and every probe must reduce the same."""
+    canon, semi = ReferenceRREF(), _kernels_py.IntRREF()
     for row in rows:
         col = semi.add(dict(row))
         assert col == canon.add(dict(row))
         if col is not None:
             stored = semi.pivot_row(col)
-            assert stored == canon.pivot_row(col)
+            assert stored == canon.pivots[col]
             assert min(stored) == col and stored[col] > 0
             assert _kernels_py.strip_content(dict(stored)) == stored
-        assert semi.rank == canon.rank
+        assert semi.rank == len(canon.pivots)
     for probe in probes:
         residual = semi.reduce(dict(probe))
         assert residual == canon.reduce(dict(probe))
@@ -213,3 +190,12 @@ def test_rank_of_rows_uses_the_plain_semi_echelon(monkeypatch):
     # kernel's own rank helper must not reach that binding.
     monkeypatch.setattr(kernels, "IntRREF", None)
     assert kernels.rank_of_rows([{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}]) == 2
+
+
+def test_nullspace_of_rows_uses_the_plain_semi_echelon(monkeypatch):
+    # Nor may the nullspace, whose rows the profiler counts at its own call.
+    monkeypatch.setattr(kernels, "IntRREF", None)
+    assert kernels.nullspace_of_rows([{0: 2, 1: 4}, {0: 1, 1: 2}], 3) == [
+        {0: -2, 1: 1},
+        {2: 1},
+    ]
