@@ -9,7 +9,9 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -20,7 +22,7 @@ from .momentgraph import Truncation, build_graph, export_graph
 from .stalks import estimated_cells, multiplicity_matrix, stalk_ranks
 from .suites import SUITES, run_suite
 from .transition import transition_bundle
-from .weights import tensor_weight_dim, weight_multiplicity
+from .weights import MAX_WEYL_ORDER, tensor_weight_dim, weight_multiplicity
 
 
 def _exact(value):
@@ -86,6 +88,69 @@ class SystemSizeError(RuntimeError):
     pass
 
 
+# The most estimated steps ``tensor-dim`` accepts for its two Freudenthal
+# tables.  A weight counts 5 * rank steps (its orbit's reflections), and
+# each dominant weight mu adds how far every alpha-string above it can
+# climb, ht(lam - mu) // ht(alpha).  A step takes 1-2.5 us: E7 omega4
+# with theta (0.87 million steps) takes 0.8 s and A1 1000theta (0.51
+# million) 0.8 s; A2 200theta (9.6 million) took 13.5 s, A1 2000theta
+# (2.0 million) 4.7 s and E6 5theta (3.4 million) 3.5 s.  The count
+# enumerates the weights as the table does, so it costs up to as much
+# again (E7 omega4: 1.3 s in all), and it stops once past the ceiling:
+# 0.8 s on E8, whose weights are the slowest to enumerate (2-vCPU VM,
+# Python 3.11.7).
+MAX_FREUDENTHAL_STEPS = 1_000_000
+
+# The most partition cells ``mult`` accepts: positive roots times the
+# lattice points below lam - nu times the height of lam - nu plus one,
+# which bounds the Kostant memo.  A cell takes 0.04-0.12 us: D5 5theta
+# at zero (18.8 million cells) takes 2.2 s and A3 30theta (16 million)
+# 0.7 s; A2 300theta (163 million) took 9.3 s, E6 3theta (67 million)
+# 6.9 s and D5 8theta (240 million) 19 s.  The Weyl orbit walk comes on
+# top, bounded by weights.MAX_WEYL_ORDER: 3-4 s on E6 and A7 (2-vCPU VM,
+# Python 3.11.7).
+MAX_KOSTANT_CELLS = 20_000_000
+
+
+def _guard_tensor(rs, lam, mu):
+    """Refuse before either weight table is built when the two together
+    take more than :data:`MAX_FREUDENTHAL_STEPS`; the steps are counted
+    only until the ceiling is passed."""
+    heights = [rsys.height_key(rs, a) for a in rs.positive_roots]
+    steps = 0
+    for top in (lam, mu):
+        top_height = rsys.height_key(rs, top)
+        for w in rsys.iter_weights(rs, top):
+            steps += 5 * rs.rank
+            if rsys.is_dominant(rs, w):
+                steps += sum((top_height - rsys.height_key(rs, w)) // h for h in heights)
+            if steps > MAX_FREUDENTHAL_STEPS:
+                raise SystemSizeError(
+                    f"refusing: the weight tables of {list(lam)} and {list(mu)} take an "
+                    f"estimated {steps} or more Freudenthal steps; tensor-dim supports "
+                    f"at most {MAX_FREUDENTHAL_STEPS}"
+                )
+
+
+def _guard_kostant(rs, lam, nu):
+    """Refuse before the Kostant sum when its partition memo could exceed
+    :data:`MAX_KOSTANT_CELLS`.  Every argument of the sum is below
+    ``lam - nu`` (nu taken dominant), so its lattice points bound them all."""
+    order = rsys.weyl_group_order(rs.type_label, rs.rank)
+    if order > MAX_WEYL_ORDER or not rsys.is_dominant(rs, lam):
+        return  # weight_multiplicity refuses it
+    nu = rsys.dominant_representative(rs, nu)
+    c = rsys.simple_coefficients(rs, tuple(a - b for a, b in zip(lam, nu)))
+    if c is None or min(c) < 0:
+        return  # every term is zero
+    cells = len(rs.positive_roots) * math.prod(x + 1 for x in c) * (sum(c) + 1)
+    if cells > MAX_KOSTANT_CELLS:
+        raise SystemSizeError(
+            f"refusing: the Kostant sum for {list(lam)} at {list(nu)} is estimated at "
+            f"{cells} partition cells; mult supports at most {MAX_KOSTANT_CELLS}"
+        )
+
+
 def cmd_roots(args, out):
     rs = _rs(args)
     if args.json:
@@ -110,6 +175,7 @@ def cmd_mult(args, out):
     rs = _rs(args)
     lam = rsys.resolve_coweight(rs, args.highest)
     nu = rsys.resolve_coweight(rs, args.weight)
+    _guard_kostant(rs, lam, nu)
     if args.q:
         poly = weight_multiplicity(lam, nu, rs, q_graded=True)
         if args.json:
@@ -135,6 +201,7 @@ def cmd_tensor_dim(args, out):
     lam = rsys.resolve_coweight(rs, args.lam)
     mu = rsys.resolve_coweight(rs, args.mu)
     nu = rsys.resolve_coweight(rs, args.weight)
+    _guard_tensor(rs, lam, mu)
     dim = tensor_weight_dim(lam, mu, nu, rs)
     if args.json:
         out.write(_dump({
@@ -322,7 +389,14 @@ def cmd_verify(args, out):
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    :func:`run` in the process, so it must not be modified.
+
+    It holds no functions: :func:`run` looks up ``cmd_<command>`` in this
+    module when it dispatches, so a replaced command function takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="gkmfactor",
         description=(
@@ -343,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="root datum summary")
     add_type_rank(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("mult", help="weight multiplicity (plain or graded)")
     add_type_rank(p)
@@ -351,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
     p.add_argument("--q", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("tensor-dim", help="tensor-product weight space dimension")
     add_type_rank(p)
@@ -359,13 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_tensor_dim)
 
     p = sub.add_parser("graph", help="moment graph of a truncation")
     add_type_rank(p)
     p.add_argument("--coweight", required=True)
     p.add_argument("--format", required=True, choices=["dot", "json"])
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("stalks", help="canonical-sheaf stalk ranks")
     add_type_rank(p)
@@ -373,14 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", default=None)
     p.add_argument("--json", action="store_true")
     add_cells(p)
-    p.set_defaults(func=cmd_stalks)
 
     p = sub.add_parser("mmatrix", help="multiplicity matrix of a truncation")
     add_type_rank(p)
     p.add_argument("--coweight", required=True)
     p.add_argument("--json", action="store_true")
     add_cells(p)
-    p.set_defaults(func=cmd_mmatrix)
 
     p = sub.add_parser("transition", help="one weight block of the factored transition matrix")
     add_type_rank(p)
@@ -390,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--euler", default="unit", choices=["unit", "symbolic"])
     p.add_argument("--json", action="store_true")
     add_cells(p)
-    p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("eta", help="geometric efficiency and universal bounds")
     p.add_argument("--series", choices=["all"], default=None)
@@ -401,11 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP)
-    p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -442,8 +507,9 @@ def run(argv, out=None) -> int:
     if args.command == "eta" and not args.series and (args.type is None or args.rank is None):
         sys.stderr.write("error: eta needs either --series all or both --type and --rank\n")
         return 2
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, out)
+        return command(args, out)
     except rsys.UnsupportedRootSystem as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

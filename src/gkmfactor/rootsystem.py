@@ -273,6 +273,14 @@ def reflect(rs: RootSystem, v: Vec, root: Vec) -> Vec:
     return tuple(x - k * y for x, y in zip(v, root))
 
 
+# The most vectors :func:`simple_coefficients` keeps per root system; a
+# full cache is emptied.  The Kostant sum asks about one vector per orbit
+# point: one A7 q-graded multiplicity at zero asks about 40,320 (14.5 MiB
+# of cache under tracemalloc), while the most any system asks about in a
+# weight-queries repetition is 5,184 (D5), so those all stay cached.
+MAX_COEFF_CACHE = 20_000
+
+
 def simple_coefficients(rs: RootSystem, v: Vec):
     """Integer coefficients of ``v`` over the simple roots, or None if
     ``v`` is not an integer combination of them.
@@ -280,15 +288,18 @@ def simple_coefficients(rs: RootSystem, v: Vec):
     Solved through the scaled inverse Cartan matrix and verified by
     reconstruction, so membership in the root lattice is decided exactly.
     """
-    if v not in rs._coeff_cache:
+    cache = rs._coeff_cache
+    if v not in cache:
+        if len(cache) >= MAX_COEFF_CACHE:
+            cache.clear()
         p = [2 * _dot(v, a) for a in rs.simple_roots]
         den = rs.cartan_denominator * rs.root_norm_sq
         scaled = [_dot(row, p) for row in rs.scaled_cartan_inverse]
         c = tuple(x // den for x in scaled)
         exact = not any(x % den for x in scaled)
         recon = tuple(_dot(c, col) for col in zip(*rs.simple_roots))
-        rs._coeff_cache[v] = c if exact and recon == v else None
-    return rs._coeff_cache[v]
+        cache[v] = c if exact and recon == v else None
+    return cache[v]
 
 
 def height_key(rs: RootSystem, v: Vec) -> int:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -397,6 +398,64 @@ def test_oversized_root_system_refused(argv, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
+def tensor_argv(t, rank, lam, mu):
+    return ["tensor-dim", "--type", t, "--rank", rank, "--lambda", lam, "--mu", mu,
+            "--weight", "zero"]
+
+
+def mult_argv(rank, highest):
+    return ["mult", "--type", "A", "--rank", rank, "--highest", highest, "--weight", "zero"]
+
+
+FREUDENTHAL_REFUSAL = (
+    r"error: refusing: the weight tables of \[.*\] and \[.*\] take an estimated \d+ or more "
+    r"Freudenthal steps; tensor-dim supports at most 1000000\n"
+)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # Unguarded, each of these runs for 8 s to over a minute.
+    (tensor_argv("A", "1", "10000,-10000", "1,-1"), FREUDENTHAL_REFUSAL),
+    (tensor_argv("A", "1", "3000,-3000", "1,-1"), FREUDENTHAL_REFUSAL),
+    (tensor_argv("A", "2", "200,0,-200", "theta"), FREUDENTHAL_REFUSAL),
+    (mult_argv("2", "1000,0,-1000"),
+     r"error: refusing: the Kostant sum for \[1000, 0, -1000\] at \[0, 0, 0\] is estimated "
+     r"at 6015012003 partition cells; mult supports at most 20000000\n"),
+    (mult_argv("2", "300,0,-300"), r"error: refusing: .* estimated at 163353603 partition cells"),
+], ids=["tensor-A1-10000theta", "tensor-A1-3000theta", "tensor-A2-200theta",
+        "mult-A2-1000theta", "mult-A2-300theta"])
+def test_oversized_weight_query_refused_up_front(monkeypatch, argv, message, capsys):
+    def no_query(*args, **kwargs):
+        raise AssertionError("the query ran")
+
+    monkeypatch.setattr(cli, "tensor_weight_dim", no_query)
+    monkeypatch.setattr(cli, "weight_multiplicity", no_query)
+    start = time.perf_counter()
+    code, out = capture(argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert re.match(message, capsys.readouterr().err)
+
+
+def test_tensor_dim_refuses_many_weights(capsys):
+    # E8 omega4's weights are many and the slowest to enumerate; their
+    # count stops once past the ceiling.
+    start = time.perf_counter()
+    code, out = capture(tensor_argv("E", "8", "omega4", "zero"))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert re.fullmatch(FREUDENTHAL_REFUSAL, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    tensor_argv("A", "1", "1000,-1000", "1,-1"),
+    tensor_argv("E", "6", "omega4", "omega4"),
+    mult_argv("2", "100,0,-100"),
+], ids=["tensor-A1-1000theta", "tensor-E6-omega4", "mult-A2-100theta"])
+def test_weight_queries_below_the_ceilings_run(argv):
+    assert capture(argv)[0] == 0
+
+
 def test_oversized_root_system_refused_without_traceback():
     proc = subprocess.run(
         [sys.executable, "-m", "gkmfactor.cli", "roots", "--type", "A", "--rank", "200"],
@@ -425,3 +484,55 @@ def test_eta_series_refuses_oversized_max_rank_before_any_build(
         assert code == 1 and out == ""
         assert message in capsys.readouterr().err
     assert pool_requests == []
+
+
+def test_parser_built_once_per_process():
+    # Importing the module builds no parser; the first request builds it
+    # and every later one reuses it, a usage error among them.
+    script = "\n".join([
+        "import argparse, io",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "def counting(self, *args, **kwargs):",
+        "    init(self, *args, **kwargs)",
+        "    if self.prog == 'gkmfactor':",
+        "        built.append(self)",
+        "argparse.ArgumentParser.__init__ = counting",
+        "from gkmfactor import cli",
+        "counts = [len(built)]",
+        "for argv in (['roots', '--type', 'A', '--rank', '1'], ['nonsense'],",
+        "             ['eta', '--type', 'E', '--rank', '6']):",
+        "    cli.run(argv, out=io.StringIO())",
+        "    counts.append(len(built))",
+        "print(counts)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 1, 1, 1]\n"
+
+
+def test_command_replaced_after_a_request_is_the_one_that_runs(monkeypatch):
+    argv = ["tensor-dim", "--type", "A", "--rank", "1", "--lambda", "theta", "--mu", "theta",
+            "--weight", "zero"]
+    assert capture(argv) == (0, "tensor weight dimension: 3\n")
+    seen = []
+
+    def replaced(args, out):
+        seen.append(args.lam)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_tensor_dim", replaced)
+    assert capture(argv) == (0, "")
+    assert seen == ["theta"]
+
+
+def test_usage_error_after_reuse_exits_2(capsys):
+    # No value of an earlier request carries over to a later one.
+    assert capture(["eta", "--type", "E", "--rank", "7"])[0] == 0
+    assert capture(["eta", "--type", "A"]) == (2, "")
+    assert capture(["roots", "--type", "A", "--rank", "1", "--bogus"]) == (2, "")
+    err = capsys.readouterr().err
+    assert "eta needs either --series all or both --type and --rank" in err
+    assert "unrecognized arguments: --bogus" in err
+    assert capture(["roots", "--type", "A", "--rank", "1"])[0] == 0

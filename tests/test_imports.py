@@ -2,7 +2,8 @@
 defines a private function, class or method that no module reads, and no
 module reads the environment, so no variable changes behaviour unseen.
 The weight, moment-graph and stalk modules work in integers only, so
-they do not import ``fractions``.
+they do not import ``fractions``.  The number of settable values is
+pinned, so a new option fails here until the pin moves with a reason.
 
 There is no linter in the toolchain, so this walks each module's syntax
 tree.  A name counts as read when some expression loads it or when it
@@ -200,3 +201,71 @@ def test_finds_a_fraction_import():
 @pytest.mark.parametrize("name", INTEGER_MODULES)
 def test_integer_modules_import_no_fractions(name):
     assert fraction_imports((PACKAGE / name).read_text()) == []
+
+
+def option_declarations(source: str) -> int:
+    """Number of ``add_argument`` calls: one per CLI option declared."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def defaulted_public_parameters(source: str) -> list:
+    """(function, parameter) of each parameter with a default of a public
+    module-level function or a public method of a public class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def defaulted(fn, name):
+        positional = fn.args.posonlyargs + fn.args.args
+        with_default = positional[len(positional) - len(fn.args.defaults):] + [
+            a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+        ]
+        return [(name, a.arg) for a in with_default]
+
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.ClassDef):
+            found += [
+                pair
+                for item in node.body
+                if isinstance(item, functions) and not item.name.startswith("_")
+                for pair in defaulted(item, f"{node.name}.{item.name}")
+            ]
+        else:
+            found += defaulted(node, node.name)
+    return found
+
+
+def test_counts_settable_values():
+    source = (
+        "def run(argv, out=None, *, strict=False, level):\n"
+        "    p.add_argument('--json')\n    p.add_argument('--csv')\n"
+        "def _private(x=1):\n    pass\n"
+        "class Table:\n"
+        "    def rows(self, limit=10):\n        pass\n"
+        "    def _cached(self, key=None):\n        pass\n"
+    )
+    assert option_declarations(source) == 2
+    assert defaulted_public_parameters(source) == [
+        ("run", "out"), ("run", "strict"), ("Table.rows", "limit"),
+    ]
+
+
+# ROADMAP aim 2's settable values: 33 CLI option declarations, 0
+# environment reads and 14 defaulted parameters of public functions.
+# Move the pin only together with the ROADMAP, saying what the new value
+# is for.
+SETTABLE_VALUES = 47
+
+
+def test_settable_value_count_is_pinned():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    options = sum(option_declarations(s) for s in sources)
+    environment = sum(len(environment_reads(s)) for s in sources)
+    defaults = sum(len(defaulted_public_parameters(s)) for s in sources)
+    assert options + environment + defaults == SETTABLE_VALUES, (options, environment, defaults)

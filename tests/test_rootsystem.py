@@ -152,6 +152,18 @@ def test_integer_root_arithmetic_matches_a_fraction_oracle(t, l):
         assert checked["off the lattice"] > 0
 
 
+def test_coefficient_cache_is_bounded():
+    # The Kostant sum asks about one new vector per Weyl orbit point
+    # (40,320 for an A7 multiplicity); the cache keeps at most
+    # MAX_COEFF_CACHE of them and answers the same once it is emptied.
+    rs = rsys.build("A", 1)
+    for k in range(rsys.MAX_COEFF_CACHE + 10):
+        assert rsys.simple_coefficients(rs, (k, -k)) == (k,)
+        assert len(rs._coeff_cache) <= rsys.MAX_COEFF_CACHE
+    assert rsys.simple_coefficients(rs, (0, 0)) == (0,)
+    assert rsys.simple_coefficients(rs, (1, 0)) is None
+
+
 def test_pairing_refuses_an_e6_vector_off_the_lattice():
     rs = rsys.build("E", 6)
     v = (0, 0, 0, 0, 0, 0, 0, 1)
