@@ -74,8 +74,10 @@ MAX_GRAPH_VERTICES = 500
 
 def _guard_graph(tr):
     """Refuse before building a graph with too many vertices; they are
-    counted only until the ceiling is passed."""
-    for count, _ in enumerate(rsys.iter_weights(tr.rs, tr.lam), 1):
+    counted one Weyl orbit at a time, only until the ceiling is passed."""
+    count = 0
+    for mu in rsys.iter_dominant_weights(tr.rs, tr.lam):
+        count += rsys.orbit_size(tr.rs, mu)
         if count > MAX_GRAPH_VERTICES:
             raise SystemSizeError(
                 f"refusing: the {tr.rs.type_label}{tr.rs.rank} truncation at "
@@ -95,9 +97,9 @@ class SystemSizeError(RuntimeError):
 # with theta (0.87 million steps) takes 0.8 s and A1 1000theta (0.51
 # million) 0.8 s; A2 200theta (9.6 million) took 13.5 s, A1 2000theta
 # (2.0 million) 4.7 s and E6 5theta (3.4 million) 3.5 s.  The count
-# enumerates the weights as the table does, so it costs up to as much
-# again (E7 omega4: 1.3 s in all), and it stops once past the ceiling:
-# 0.8 s on E8, whose weights are the slowest to enumerate (2-vCPU VM,
+# walks only the dominant weights and takes each orbit's size from
+# rootsystem.orbit_size, stopping once past the ceiling: 8 ms for E7
+# omega4 with theta and under 1 ms to refuse E8 omega4 (2-vCPU VM,
 # Python 3.11.7).
 MAX_FREUDENTHAL_STEPS = 1_000_000
 
@@ -112,24 +114,31 @@ MAX_FREUDENTHAL_STEPS = 1_000_000
 MAX_KOSTANT_CELLS = 20_000_000
 
 
-def _guard_tensor(rs, lam, mu):
-    """Refuse before either weight table is built when the two together
-    take more than :data:`MAX_FREUDENTHAL_STEPS`; the steps are counted
-    only until the ceiling is passed."""
+def _tensor_steps(rs, lam, mu):
+    """Running totals of the estimated Freudenthal steps of the weight
+    tables of ``lam`` and ``mu``, one total per dominant weight: its
+    whole orbit counted at once through :func:`rootsystem.orbit_size`."""
     heights = [rsys.height_key(rs, a) for a in rs.positive_roots]
     steps = 0
     for top in (lam, mu):
         top_height = rsys.height_key(rs, top)
-        for w in rsys.iter_weights(rs, top):
-            steps += 5 * rs.rank
-            if rsys.is_dominant(rs, w):
-                steps += sum((top_height - rsys.height_key(rs, w)) // h for h in heights)
-            if steps > MAX_FREUDENTHAL_STEPS:
-                raise SystemSizeError(
-                    f"refusing: the weight tables of {list(lam)} and {list(mu)} take an "
-                    f"estimated {steps} or more Freudenthal steps; tensor-dim supports "
-                    f"at most {MAX_FREUDENTHAL_STEPS}"
-                )
+        for w in rsys.iter_dominant_weights(rs, top):
+            steps += 5 * rs.rank * rsys.orbit_size(rs, w)
+            steps += sum((top_height - rsys.height_key(rs, w)) // h for h in heights)
+            yield steps
+
+
+def _guard_tensor(rs, lam, mu):
+    """Refuse before either weight table is built when the two together
+    take more than :data:`MAX_FREUDENTHAL_STEPS`; the steps are counted
+    only until the ceiling is passed."""
+    for steps in _tensor_steps(rs, lam, mu):
+        if steps > MAX_FREUDENTHAL_STEPS:
+            raise SystemSizeError(
+                f"refusing: the weight tables of {list(lam)} and {list(mu)} take an "
+                f"estimated {steps} or more Freudenthal steps; tensor-dim supports "
+                f"at most {MAX_FREUDENTHAL_STEPS}"
+            )
 
 
 def _guard_kostant(rs, lam, nu):

@@ -106,11 +106,6 @@ class MomentGraph:
     def level(self, v: Vec):
         return self._level[self.vindex[v]]
 
-    def order_leq(self, u: Vec, v: Vec) -> bool:
-        if u == v:
-            return True
-        return self._level[self.vindex[u]] < self._level[self.vindex[v]]
-
     def linear_extension(self, rng=None) -> list[Vec]:
         """Vertices in ascending order.  Default tie-break is
         lexicographic; passing a ``random.Random`` shuffles within level
@@ -122,9 +117,6 @@ class MomentGraph:
             self.vertices,
             key=lambda v: (self._level[self.vindex[v]], jitter[v]),
         )
-
-    def incident_edges(self, x: Vec) -> list[Edge]:
-        return [self.edges[k] for k in self.adjacency[self.vindex[x]]]
 
     def __eq__(self, other):
         if not isinstance(other, MomentGraph):

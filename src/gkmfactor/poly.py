@@ -136,18 +136,6 @@ class LinearFormReducer:
         self._mono_cache[exp] = out
         return out
 
-    def reduce_poly(self, p: dict) -> dict:
-        """Scaled image of a homogeneous polynomial in S/(L)."""
-        out: dict = {}
-        for exp, coef in p.items():
-            for m, c in self.reduce_monomial(exp).items():
-                w = out.get(m, 0) + coef * c
-                if w:
-                    out[m] = w
-                elif m in out:
-                    del out[m]
-        return out
-
     def variable_form(self, i: int) -> dict:
         """Scaled image of the variable x_i, used for module multiplication."""
         if self._var_forms is None:

@@ -395,8 +395,9 @@ def weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
     return sorted(iter_weights(rs, lam))
 
 
-def _dominant_walk(rs: RootSystem, lam: Vec):
-    """The weights of :func:`dominant_weights_of`, one at a time."""
+def iter_dominant_weights(rs: RootSystem, lam: Vec):
+    """The weights of :func:`dominant_weights_of`, one at a time, so a
+    caller can stop before a large set is enumerated."""
     if not is_dominant(rs, lam):
         raise ValueError("highest coweight must be dominant")
     seen = {lam}
@@ -410,12 +411,34 @@ def _dominant_walk(rs: RootSystem, lam: Vec):
                 queue.append(nu)
 
 
+def orbit_size(rs: RootSystem, mu: Vec) -> int:
+    """|W mu| for a dominant coweight ``mu``, without walking the orbit:
+    the product of (ht alpha + 1) / ht alpha over the positive roots
+    alpha with <mu, alpha> != 0.
+
+    Over all positive roots the product is |W| (Kostant; Macdonald, *The
+    Poincare series of a Coxeter group*, Math. Ann. 1972).  The roots
+    orthogonal to ``mu`` form the root system of its stabilizer, a
+    parabolic subgroup with simple roots among the simple roots, so the
+    same product over them is its order and the quotient is the orbit.
+    """
+    if not is_dominant(rs, mu):
+        raise ValueError("orbit_size needs a dominant coweight")
+    num = den = 1
+    for alpha in rs.positive_roots:
+        if _dot(mu, alpha):
+            h = sum(rs.root_simple_coeffs[alpha])
+            num *= h + 1
+            den *= h
+    return num // den
+
+
 def iter_weights(rs: RootSystem, lam: Vec):
     """The weights of :func:`weights_of`, one at a time, so a caller can
     stop before a large set is enumerated: the Weyl orbit of each
     dominant weight (Stembridge's walk, :func:`dominant_weights_of`),
     walked point by point."""
-    for mu in _dominant_walk(rs, lam):
+    for mu in iter_dominant_weights(rs, lam):
         yield from _orbit(rs, mu)
 
 
@@ -427,7 +450,7 @@ def dominant_weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
     order of dominant weights*, Adv. Math. 1998), so the walk keeps the
     dominant results and tests no other candidate.
     """
-    return sorted(_dominant_walk(rs, lam))
+    return sorted(iter_dominant_weights(rs, lam))
 
 
 def fundamental_coweight(rs: RootSystem, i: int) -> Vec:

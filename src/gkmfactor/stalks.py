@@ -459,17 +459,9 @@ class MultiplicityMatrix:
     col_coweights: tuple[Vec, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def entry(self, alpha: Vec, beta: Vec) -> int:
-        return self.entries[self.row_coweights.index(tuple(alpha))][
-            self.col_coweights.index(tuple(beta))
-        ]
-
     def column_at(self, beta: Vec) -> dict:
         j = self.col_coweights.index(tuple(beta))
         return {a: self.entries[i][j] for i, a in enumerate(self.row_coweights)}
-
-    def row_sum(self, alpha: Vec) -> int:
-        return sum(self.entries[self.row_coweights.index(tuple(alpha))])
 
     def unitriangular_violations(self, rs) -> list:
         """Failures of: diagonal one, support below the row class,

@@ -1,13 +1,16 @@
 """Factors of the convolution-to-canonical-basis transition matrix.
 
-Per weight block, the transition matrix factors as a diagonal
-normalization, times the multiplicity matrix of stalk ranks, times the
-0/1 collision (specialization) matrix, times the inverse of an Euler
-diagonal.  The normalization and Euler factors are rank-preserving
-diagonals (unit by default; the Euler diagonal may be kept as formal
-products of edge labels, never expanded), so the integer core is the
-product of the multiplicity block and the collision block, and the rank
-of the composite is controlled by the multiplicity block alone.
+The transition matrix C = P * M * A * Q^-1 is block-diagonal by weight:
+a tensor pair (sigma, tau) collides into sigma + tau, so each block is
+one weight ``nu`` and the pairs summing to it, and every block is built
+on its own.  The blocks partition the tensor basis over the weights of
+the truncation at lambda + mu.  Within a block the collision factor A
+is one row of ones.  The normalization P and the Euler factor Q are
+rank-preserving diagonals: P is the unit diagonal here (:func:`compose_C`
+takes any), and Q is the unit diagonal or formal products of edge
+labels, never expanded.  So the integer core is the product of the
+multiplicity block and the collision row, and the rank of the composite
+is controlled by the multiplicity block alone.
 """
 
 from __future__ import annotations
@@ -40,24 +43,18 @@ class PairIndex:
         return out
 
 
-def weight_pairs(lam: Vec, mu: Vec, rs: RootSystem, nu: Vec | None = None) -> PairIndex:
-    """Enumerate the tensor basis pairs, optionally only those whose
-    weights sum to ``nu``.  Deterministic order: total order on sigma,
-    then its multiplicity index, then tau's index."""
+def weight_pairs(lam: Vec, mu: Vec, rs: RootSystem, nu: Vec) -> PairIndex:
+    """The tensor basis pairs whose weights sum to ``nu``.  Deterministic
+    order: total order on sigma, then its multiplicity index, then tau's
+    index."""
     ta = freudenthal_weight_table(lam, rs)
     tb = freudenthal_weight_table(mu, rs)
-    sigmas = rsys.total_order_extension(ta.keys(), rs)
     pairs = []
-    for sigma in sigmas:
-        if nu is None:
-            taus = rsys.total_order_extension(tb.keys(), rs)
-        else:
-            t = tuple(a - b for a, b in zip(nu, sigma))
-            taus = [t] if t in tb else []
-        for tau in taus:
-            for i in range(ta[sigma]):
-                for j in range(tb[tau]):
-                    pairs.append((sigma, i, tau, j))
+    for sigma in rsys.total_order_extension(ta.keys(), rs):
+        tau = tuple(a - b for a, b in zip(nu, sigma))
+        for i in range(ta[sigma]):
+            for j in range(tb.get(tau, 0)):
+                pairs.append((sigma, i, tau, j))
     return PairIndex(tuple(pairs))
 
 
@@ -71,27 +68,14 @@ class SpecializationMatrix:
     pairs: PairIndex
     entries: tuple[tuple[int, ...], ...]
 
-    def column_sums(self) -> list[int]:
-        return [sum(col) for col in zip(*self.entries)] if self.entries else []
 
-
-def build_A(lam: Vec, mu: Vec, rs: RootSystem, weight_filter: Vec | None = None) -> SpecializationMatrix:
-    """Assemble the collision matrix; with ``weight_filter`` only the
-    single row block at that weight (and the pairs summing to it)."""
+def build_A(lam: Vec, mu: Vec, rs: RootSystem, nu: Vec) -> SpecializationMatrix:
+    """The collision block at weight ``nu``: its one row is ``nu``, its
+    columns the pairs summing to ``nu``, and every entry is one."""
     if not rsys.is_dominant(rs, lam) or not rsys.is_dominant(rs, mu):
         raise ValueError("both highest coweights must be dominant")
-    pairs = weight_pairs(lam, mu, rs, nu=weight_filter)
-    if weight_filter is not None:
-        rows = (tuple(weight_filter),)
-    else:
-        total = tuple(a + b for a, b in zip(lam, mu))
-        rows = tuple(rsys.total_order_extension(Truncation(rs, total).vertex_set(), rs))
-    row_index = {v: i for i, v in enumerate(rows)}
-    entries = [[0] * len(pairs) for _ in rows]
-    for k, (sigma, _, tau, _) in enumerate(pairs.pairs):
-        s = tuple(a + b for a, b in zip(sigma, tau))
-        entries[row_index[s]][k] = 1
-    return SpecializationMatrix(rows, pairs, tuple(tuple(r) for r in entries))
+    pairs = weight_pairs(lam, mu, rs, nu)
+    return SpecializationMatrix((tuple(nu),), pairs, ((1,) * len(pairs),))
 
 
 @dataclass(frozen=True)
@@ -118,29 +102,24 @@ class EulerDiagonal:
         return out
 
 
-def build_Q(g: MomentGraph, mode: str = "unit") -> EulerDiagonal:
-    """Euler diagonal of a moment graph: unit, or per vertex the formal
+def build_Q(g: MomentGraph) -> EulerDiagonal:
+    """Symbolic Euler diagonal of a moment graph: per vertex the formal
     product of all incident edge labels (the finite GKM surrogate for
     the tangent Euler class)."""
-    if mode == "unit":
-        return EulerDiagonal(index=g.vertices, factors=None)
-    if mode == "symbolic":
-        factors = []
-        for i, v in enumerate(g.vertices):
-            labels = tuple(g.edges[k].label for k in g.adjacency[i])
-            for l in labels:
-                if all(c == 0 for c in l):
-                    raise AssertionError("zero label cannot enter an Euler factor")
-            factors.append(labels)
-        return EulerDiagonal(index=g.vertices, factors=tuple(factors))
-    raise ValueError(f"unknown Euler mode {mode!r} (need unit or symbolic)")
+    factors = []
+    for i in range(len(g.vertices)):
+        labels = tuple(g.edges[k].label for k in g.adjacency[i])
+        if not all(any(l) for l in labels):
+            raise AssertionError("zero label cannot enter an Euler factor")
+        factors.append(labels)
+    return EulerDiagonal(index=g.vertices, factors=tuple(factors))
 
 
 def pair_euler_diagonal(g_lam: MomentGraph, g_mu: MomentGraph, pairs: PairIndex) -> EulerDiagonal:
     """Symbolic Euler diagonal on the generic pair basis: the product of
     the two factors' vertex entries."""
-    q1 = build_Q(g_lam, "symbolic")
-    q2 = build_Q(g_mu, "symbolic")
+    q1 = build_Q(g_lam)
+    q2 = build_Q(g_mu)
     i1 = {v: i for i, v in enumerate(q1.index)}
     i2 = {v: i for i, v in enumerate(q2.index)}
     factors = []
@@ -213,20 +192,27 @@ def transition_bundle(
     lam: Vec,
     mu: Vec,
     nu: Vec,
-    p_diag=None,
     euler: str = "unit",
 ) -> TransitionBundle:
-    """Build, compose and verify the weight-``nu`` block.
+    """Build, compose and verify the weight-``nu`` block, with the unit
+    normalization diagonal.
 
     Multiplicity entries are the stalk ranks of each dominant class's
     sheaf at ``nu``; classes not supporting ``nu`` contribute zero
-    without running the recursion.
+    without running the recursion.  Raises :class:`ValueError` when
+    ``nu`` is not a vertex of the truncation at ``lam + mu``, that is,
+    not a weight of the tensor product.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    a = build_A(lam, mu, rs, weight_filter=nu)
+    a = build_A(lam, mu, rs, nu)
     total = tuple(x + y for x, y in zip(lam, mu))
-    tr = Truncation(rs, total)
-    dominants = [v for v in tr.vertex_set() if rsys.is_dominant(rs, v)]
+    vertices = Truncation(rs, total).vertex_set()
+    if nu not in vertices:
+        raise ValueError(
+            f"{list(nu)} is not a weight of the tensor product: not a fixed point "
+            f"of the truncation at lambda+mu = {list(total)}"
+        )
+    dominants = [v for v in vertices if rsys.is_dominant(rs, v)]
     rows = tuple(reversed(rsys.total_order_extension(dominants, rs)))
     m_entries = []
     for alpha in rows:
@@ -236,9 +222,7 @@ def transition_bundle(
         column = stalk_ranks(Truncation(rs, alpha))
         m_entries.append((column.ranks.get(nu, 0),))
     m_block = tuple(m_entries)
-    p = tuple(Fraction(x) for x in p_diag) if p_diag is not None else tuple(
-        Fraction(1) for _ in rows
-    )
+    p = tuple(Fraction(1) for _ in rows)
     if euler == "unit":
         q = EulerDiagonal(index=a.pairs.pairs, factors=None)
     elif euler == "symbolic":

@@ -23,6 +23,16 @@ from gkmfactor.rootsystem import Vec
 from gkmfactor.stalks import _Layout
 
 
+def reduce_poly(red, p: dict) -> dict:
+    """Scaled image of a homogeneous polynomial ``p`` in S/(L), summed
+    from the images of its monomials under the reducer ``red``."""
+    out: dict = {}
+    for exp, coef in p.items():
+        for m, c in red.reduce_monomial(exp).items():
+            out[m] = out.get(m, 0) + coef * c
+    return {m: c for m, c in out.items() if c}
+
+
 @dataclass
 class GradedSectionSpace:
     """Per-degree bases of edge-compatible tuples over an upper set."""
@@ -66,7 +76,7 @@ class GradedSectionSpace:
                     for (j, exp), c in diff.items():
                         by_gen.setdefault(j, {})[exp] = c
                     for p in by_gen.values():
-                        if red.reduce_poly(p):
+                        if reduce_poly(red, p):
                             return False
         return True
 
@@ -87,7 +97,7 @@ def section_space(g: MomentGraph, upper, stalks: dict, D: int) -> GradedSectionS
     uset = set(upper)
     for v in upper:
         for w in g.vertices:
-            if w != v and g.order_leq(v, w) and w not in uset:
+            if g.level(v) < g.level(w) and w not in uset:
                 raise ValueError(f"upper set is not upward closed: missing {w}")
         if v not in stalks:
             raise ValueError(f"vertex {v} has no assigned stalk")

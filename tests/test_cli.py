@@ -456,6 +456,42 @@ def test_weight_queries_below_the_ceilings_run(argv):
     assert capture(argv)[0] == 0
 
 
+def per_weight_steps(rs, lam, mu):
+    """The Freudenthal step estimate counted one weight at a time."""
+    heights = [rsys.height_key(rs, a) for a in rs.positive_roots]
+    steps = 0
+    for top in (lam, mu):
+        top_height = rsys.height_key(rs, top)
+        for w in rsys.iter_weights(rs, top):
+            steps += 5 * rs.rank
+            if rsys.is_dominant(rs, w):
+                steps += sum((top_height - rsys.height_key(rs, w)) // h for h in heights)
+    return steps
+
+
+@pytest.mark.parametrize("t,rank,lam,mu", [
+    ("A", 2, "theta", "theta"),
+    ("A", 3, "omega1", "3,1,0,-4"),
+    ("D", 4, "2,0,0,0", "theta"),
+    ("E", 6, "omega4", "theta"),
+    ("E", 7, "theta", "omega7"),
+])
+def test_tensor_steps_match_a_per_weight_count(t, rank, lam, mu):
+    rs = rsys.build(t, rank)
+    lam, mu = rsys.resolve_coweight(rs, lam), rsys.resolve_coweight(rs, mu)
+    totals = list(cli._tensor_steps(rs, lam, mu))
+    assert totals == sorted(totals)
+    assert totals[-1] == per_weight_steps(rs, lam, mu)
+
+
+@pytest.mark.parametrize("mu,nu", [("omega1", "zero"), ("omega1*", "5,0,-5")])
+def test_transition_at_a_non_weight_exits_1(mu, nu, capsys):
+    code, out = capture(["transition", "--type", "A", "--rank", "2", "--lambda", "omega1",
+                         "--mu", mu, "--weight", nu])
+    assert code == 1 and out == ""
+    assert "is not a weight of the tensor product" in capsys.readouterr().err
+
+
 def test_oversized_root_system_refused_without_traceback():
     proc = subprocess.run(
         [sys.executable, "-m", "gkmfactor.cli", "roots", "--type", "A", "--rank", "200"],

@@ -338,3 +338,44 @@ def test_oversized_system_refused_before_closure(monkeypatch):
     assert rsys.build("A", 3).num_roots == 12
     with pytest.raises(ValueError, match="A4 has 20 roots"):
         rsys.build("A", 4)
+
+
+def _integral_fundamentals(rs):
+    out = []
+    for i in range(1, rs.rank + 1):
+        try:
+            out.append(rsys.fundamental_coweight(rs, i))
+        except ValueError:
+            pass  # not integral in this realization (D spinor nodes)
+    return out
+
+
+@pytest.mark.parametrize(
+    "t,l", [("A", l) for l in range(1, 7)] + [("D", l) for l in range(3, 7)] + [("E", 6)]
+)
+def test_orbit_size_counts_the_orbit(t, l):
+    rs = rsys.build(t, l)
+    dominant = rsys.dominant_weights_of(rs, tuple(2 * x for x in rs.highest_root))
+    for mu in dominant + _integral_fundamentals(rs):
+        assert rsys.orbit_size(rs, mu) == len(rsys.w_orbit(rs, mu)), mu
+
+
+@pytest.mark.parametrize("t,l", [("A", 8), ("D", 8), ("E", 6), ("E", 7), ("E", 8)])
+def test_orbit_size_of_a_regular_weight_is_the_group_order(t, l):
+    rs = rsys.build(t, l)
+    assert rsys.orbit_size(rs, rs.two_rho) == rsys.weyl_group_order(t, l)
+    assert rsys.orbit_size(rs, rsys.zero_vec(rs)) == 1
+
+
+def test_orbit_size_needs_a_dominant_weight():
+    rs = rsys.build("A", 2)
+    with pytest.raises(ValueError, match="dominant"):
+        rsys.orbit_size(rs, tuple(-x for x in rs.highest_root))
+
+
+@pytest.mark.parametrize("t,l,lam", [("A", 3, "2,1,0,-3"), ("D", 4, "theta"), ("E", 6, "omega4")])
+def test_weight_count_is_the_sum_of_orbit_sizes(t, l, lam):
+    rs = rsys.build(t, l)
+    lam = rsys.resolve_coweight(rs, lam)
+    total = sum(rsys.orbit_size(rs, mu) for mu in rsys.iter_dominant_weights(rs, lam))
+    assert total == len(rsys.weights_of(rs, lam))

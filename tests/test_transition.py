@@ -1,6 +1,7 @@
 """Transition-block factors, composition, and the audit checks."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from gkmfactor.transition import (
     verify_bundle,
     weight_pairs,
 )
+from gkmfactor.weights import freudenthal_weight_table
 
 
 def a2_minuscule_setup():
@@ -30,24 +32,40 @@ def a2_minuscule_setup():
 
 def test_build_A_minuscule_row():
     rs, lam, mu = a2_minuscule_setup()
-    a = build_A(lam, mu, rs, weight_filter=rsys.zero_vec(rs))
+    a = build_A(lam, mu, rs, rsys.zero_vec(rs))
     assert a.entries == ((1, 1, 1),)
     assert len(a.pairs) == 3
 
 
-def test_build_A_column_sums_one():
-    rs = rsys.build("A", 2)
-    theta = rs.highest_root
-    a = build_A(theta, theta, rs)
-    assert all(s == 1 for s in a.column_sums())
-    assert len(a.pairs) == (rs.num_roots + rs.rank) ** 2
+@pytest.mark.parametrize("t,l,lam,mu", [
+    ("A", 2, "omega1", "omega1*"),
+    ("A", 2, "theta", "theta"),
+    ("A", 3, "omega1", "omega2"),
+    ("D", 4, "theta", "omega1"),
+])
+def test_weight_blocks_partition_the_tensor_basis(t, l, lam, mu):
+    # Each pair collides into its weight sum, so over the vertices of the
+    # lam + mu truncation the blocks hold every tensor basis vector once,
+    # each in a row of ones; no block is empty.
+    rs = rsys.build(t, l)
+    lam, mu = rsys.resolve_coweight(rs, lam), rsys.resolve_coweight(rs, mu)
+    total = tuple(a + b for a, b in zip(lam, mu))
+    seen = []
+    for nu in Truncation(rs, total).vertex_set():
+        a = build_A(lam, mu, rs, nu)
+        assert a.row_coweights == (nu,)
+        assert a.entries == ((1,) * len(a.pairs),) and len(a.pairs) > 0
+        assert all(tuple(x + y for x, y in zip(s, u)) == nu for s, _, u, _ in a.pairs.pairs)
+        seen.extend(a.pairs.pairs)
+    dims = [sum(freudenthal_weight_table(v, rs).values()) for v in (lam, mu)]
+    assert len(seen) == len(set(seen)) == dims[0] * dims[1]
 
 
 def test_build_A_a1_adjoint_zero_row():
     rs = rsys.build("A", 1)
     theta = rs.highest_root
     zero = rsys.zero_vec(rs)
-    a = build_A(theta, theta, rs, weight_filter=zero)
+    a = build_A(theta, theta, rs, zero)
     # pairs (alpha,-alpha), (0,0) x (l x l), (-alpha,alpha)
     assert len(a.pairs) == 3
     assert a.entries == ((1, 1, 1),)
@@ -56,26 +74,31 @@ def test_build_A_a1_adjoint_zero_row():
 def test_build_A_rejects_non_dominant():
     rs = rsys.build("A", 2)
     with pytest.raises(ValueError):
-        build_A(tuple(-x for x in rs.highest_root), rs.highest_root, rs)
+        build_A(tuple(-x for x in rs.highest_root), rs.highest_root, rs, rsys.zero_vec(rs))
 
 
-def test_build_Q_unit_and_symbolic():
+def test_build_Q_symbolic():
     rs = rsys.build("A", 1)
     g = build_graph(Truncation(rs, rs.highest_root))
-    unit = build_Q(g, "unit")
-    assert unit.is_unit
-    assert unit.entry_strings() == ["1", "1", "1"]
-    sym = build_Q(g, "symbolic")
+    sym = build_Q(g)
     zero_pos = g.vertices.index((0, 0))
     assert len(sym.factors[zero_pos]) == 2
     assert all(fs for fs in sym.factors)
-    with pytest.raises(ValueError):
-        build_Q(g, "numeric")
+    assert sym.entry_strings()[zero_pos] == "(1,-1) * (1,1)"
+
+
+def test_unit_euler_diagonal_and_unknown_mode():
+    rs, lam, mu = a2_minuscule_setup()
+    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs))
+    assert bundle.q.is_unit
+    assert bundle.q.entry_strings() == ["1", "1", "1"]
+    with pytest.raises(ValueError, match="numeric"):
+        transition_bundle(rs, lam, mu, rsys.zero_vec(rs), euler="numeric")
 
 
 def test_pair_euler_diagonal_sizes():
     rs, lam, mu = a2_minuscule_setup()
-    pairs = weight_pairs(lam, mu, rs, nu=rsys.zero_vec(rs))
+    pairs = weight_pairs(lam, mu, rs, rsys.zero_vec(rs))
     q = pair_euler_diagonal(
         build_graph(Truncation(rs, lam)), build_graph(Truncation(rs, mu)), pairs
     )
@@ -98,7 +121,7 @@ def test_sl3_block():
 
 def test_compose_identity_m_gives_a():
     rs, lam, mu = a2_minuscule_setup()
-    a = build_A(lam, mu, rs, weight_filter=rsys.zero_vec(rs))
+    a = build_A(lam, mu, rs, rsys.zero_vec(rs))
     m = ((1,),)
     p = (Fraction(1),)
     q = EulerDiagonal(index=a.pairs.pairs, factors=None)
@@ -108,7 +131,7 @@ def test_compose_identity_m_gives_a():
 
 def test_compose_dimension_mismatch():
     rs, lam, mu = a2_minuscule_setup()
-    a = build_A(lam, mu, rs, weight_filter=rsys.zero_vec(rs))
+    a = build_A(lam, mu, rs, rsys.zero_vec(rs))
     with pytest.raises(ValueError):
         compose_C((Fraction(1),), ((1, 0),), a, EulerDiagonal(index=a.pairs.pairs))
 
@@ -129,14 +152,35 @@ def test_adjoint_zero_block_rank_bound():
     assert all(c.ok for c in bundle.checks)
 
 
-def test_p_diagonal_scales_rows():
-    rs, lam, mu = a2_minuscule_setup()
-    bundle = transition_bundle(
-        rs, lam, mu, rsys.zero_vec(rs), p_diag=(Fraction(1, 2), Fraction(3))
-    )
-    assert bundle.c_block[0][0] == 1
-    assert bundle.c_block[1][0] == 3
-    assert all(c.ok for c in bundle.checks)
+@pytest.mark.parametrize("t,l,lam,mu", [("A", 2, "omega1", "omega1*"), ("A", 2, "theta", "theta")])
+def test_non_unit_p_diagonal_keeps_ranks_and_audits(t, l, lam, mu):
+    rs = rsys.build(t, l)
+    lam, mu = rsys.resolve_coweight(rs, lam), rsys.resolve_coweight(rs, mu)
+    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs))
+    assert bundle.p_diag == tuple(Fraction(1) for _ in bundle.row_classes)
+    p = tuple(Fraction(k + 1, 2) * (-1) ** k for k in range(len(bundle.row_classes)))
+    c = compose_C(p, bundle.m_block, bundle.a, bundle.q)
+    for i, row in enumerate(c):
+        assert row == tuple(p[i] * x for x in bundle.c_block[i])
+    scaled = dataclasses.replace(bundle, p_diag=p, c_block=c)
+    assert scaled.c_rank() == bundle.c_rank() and scaled.m_rank() == bundle.m_rank()
+    assert [(x.name, x.ok) for x in verify_bundle(scaled)] == [
+        (x.name, True) for x in bundle.checks
+    ]
+
+
+@pytest.mark.parametrize("lam,mu,nu", [
+    ("omega1", "omega1", "zero"),
+    ("omega1", "omega1*", "5,0,-5"),
+    ("theta", "theta", "3,0,-3"),
+])
+def test_block_at_a_non_weight_refused(lam, mu, nu):
+    # nu is a weight of the tensor product exactly when it is a vertex
+    # of the lam + mu truncation.
+    rs = rsys.build("A", 2)
+    args = [rsys.resolve_coweight(rs, x) for x in (lam, mu, nu)]
+    with pytest.raises(ValueError, match=re.escape(f"{list(args[2])} is not a weight")):
+        transition_bundle(rs, *args)
 
 
 def test_adversarial_negative_entry_located():
