@@ -93,14 +93,14 @@ class SystemSizeError(RuntimeError):
 # The most estimated steps ``tensor-dim`` accepts for its two Freudenthal
 # tables.  A weight counts 5 * rank steps (its orbit's reflections), and
 # each dominant weight mu adds how far every alpha-string above it can
-# climb, ht(lam - mu) // ht(alpha).  A step takes 1-2.5 us: E7 omega4
-# with theta (0.87 million steps) takes 0.8 s and A1 1000theta (0.51
-# million) 0.8 s; A2 200theta (9.6 million) took 13.5 s, A1 2000theta
-# (2.0 million) 4.7 s and E6 5theta (3.4 million) 3.5 s.  The count
-# walks only the dominant weights and takes each orbit's size from
-# rootsystem.orbit_size, stopping once past the ceiling: 8 ms for E7
-# omega4 with theta and under 1 ms to refuse E8 omega4 (2-vCPU VM,
-# Python 3.11.7).
+# climb, ht(lam - mu) // ht(alpha).  A step took 1-2.5 us: E7 omega4
+# with theta (0.87 million steps) took 0.8 s (0.2 s since each orbit
+# point is walked once) and A1 1000theta (0.51 million) 0.8 s; A2
+# 200theta (9.6 million) took 13.5 s, A1 2000theta (2.0 million) 4.7 s
+# and E6 5theta (3.4 million) 3.5 s.  The count walks only the dominant
+# weights and takes each orbit's size from rootsystem.orbit_size,
+# stopping once past the ceiling: 8 ms for E7 omega4 with theta and
+# under 1 ms to refuse E8 omega4 (2-vCPU VM, Python 3.11.7).
 MAX_FREUDENTHAL_STEPS = 1_000_000
 
 # The most partition cells ``mult`` accepts: positive roots times the
@@ -109,7 +109,7 @@ MAX_FREUDENTHAL_STEPS = 1_000_000
 # at zero (18.8 million cells) takes 2.2 s and A3 30theta (16 million)
 # 0.7 s; A2 300theta (163 million) took 9.3 s, E6 3theta (67 million)
 # 6.9 s and D5 8theta (240 million) 19 s.  The Weyl orbit walk comes on
-# top, bounded by weights.MAX_WEYL_ORDER: 3-4 s on E6 and A7 (2-vCPU VM,
+# top, bounded by weights.MAX_WEYL_ORDER: 2-3 s on E6 and A7 (2-vCPU VM,
 # Python 3.11.7).
 MAX_KOSTANT_CELLS = 20_000_000
 

@@ -125,6 +125,8 @@ class RootSystem:
     scaled_cartan_inverse: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     cartan_denominator: int = field(compare=False)
     highest_root: Vec = field(compare=False)
+    # Dynkin labels <alpha, alpha_j> of the positive roots, in their order.
+    positive_root_labels: tuple[Vec, ...] = field(compare=False, repr=False)
     root_norm_sq: int = field(compare=False)
     two_rho: Vec = field(compare=False)
     root_simple_coeffs: dict = field(compare=False, repr=False)
@@ -231,6 +233,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         scaled_cartan_inverse=tuple(tuple(int(x * denominator) for x in row) for row in cartan_inv),
         cartan_denominator=denominator,
         highest_root=dominant[0],
+        positive_root_labels=tuple(tuple(2 * _dot(r, a) // norm_sq for a in simples) for r in positives),
         root_norm_sq=norm_sq,
         two_rho=two_rho,
         root_simple_coeffs=coeffs,
@@ -265,12 +268,6 @@ def pairing(rs: RootSystem, v: Vec, root: Vec) -> int:
     if r:
         raise ValueError(f"{list(v)} pairs non-integrally with the root {list(root)}")
     return k
-
-
-def reflect(rs: RootSystem, v: Vec, root: Vec) -> Vec:
-    """Reflection of ``v`` in the hyperplane of ``root`` (self-dual convention)."""
-    k = pairing(rs, v, root)
-    return tuple(x - k * y for x, y in zip(v, root))
 
 
 # The most vectors :func:`simple_coefficients` keeps per root system; a
@@ -316,16 +313,22 @@ def is_dominant(rs: RootSystem, v: Vec) -> bool:
     return all(_dot(v, a) >= 0 for a in rs.simple_roots)
 
 
+def _dominant(rs: RootSystem, v: Vec) -> tuple[Vec, Vec, int]:
+    """The dominant conjugate of ``v``, its Dynkin labels and ``(-1)**n``
+    for the ``n`` simple reflections that reach it."""
+    labels = tuple(pairing(rs, v, a) for a in rs.simple_roots)
+    sign = 1
+    while (k := min(labels)) < 0:
+        i = labels.index(k)
+        v = tuple(x - k * a for x, a in zip(v, rs.simple_roots[i]))
+        labels = tuple(l - k * c for l, c in zip(labels, rs.cartan_matrix[i]))
+        sign = -sign
+    return v, labels, sign
+
+
 def dominant_representative(rs: RootSystem, v: Vec) -> Vec:
     """The unique dominant vector in the Weyl orbit of ``v``."""
-    w = v
-    while True:
-        for a in rs.simple_roots:
-            if _dot(w, a) < 0:
-                w = reflect(rs, w, a)
-                break
-        else:
-            return w
+    return _dominant(rs, v)[0]
 
 
 def dominance_leq(rs: RootSystem, nu: Vec, lam: Vec) -> bool:
@@ -345,44 +348,38 @@ def total_order_extension(coweights, rs: RootSystem) -> list[Vec]:
 
 
 def _orbit(rs: RootSystem, v: Vec):
-    """The Weyl orbit of an integral coweight, one point at a time in
-    breadth-first order from ``v`` along simple reflections."""
-    seen = {v}
-    queue = [v]
-    for x in queue:
-        yield x
-        for a in rs.simple_roots:
-            y = reflect(rs, x, a)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
+    """Each point ``y = w v`` of the Weyl orbit of a coweight once, with
+    ``det w`` (meaningful when ``v`` is regular).  Stembridge's walk in
+    Dynkin labels (*Computational aspects of root systems, Coxeter groups,
+    and Weyl characters*, 2001): from the dominant conjugate, ``x`` steps
+    to ``s_i x`` when ``<x, alpha_i> > 0`` and the labels of ``s_i x``
+    before ``i`` are non-negative, so ``x`` is the one parent of ``s_i x``
+    and no seen set is kept; a step moves the labels by a Cartan row."""
+    steps = tuple(enumerate(zip(rs.simple_roots, rs.cartan_matrix)))
+    stack = [_dominant(rs, v)]
+    while stack:
+        x, labels, sign = stack.pop()
+        yield x, sign
+        for i, (a, row) in steps:
+            k = labels[i]
+            if k > 0:
+                new = tuple([l - k * c for l, c in zip(labels, row)])
+                if i == 0 or min(new[:i]) >= 0:
+                    stack.append((tuple([p - k * q for p, q in zip(x, a)]), new, -sign))
 
 
 def w_orbit(rs: RootSystem, v: Vec) -> list:
     """Weyl orbit of an integral coweight, sorted."""
-    return sorted(_orbit(rs, tuple(v)))
+    return sorted(x for x, _ in _orbit(rs, tuple(v)))
 
 
 def w_orbit_signed(rs: RootSystem, v: Vec) -> dict:
-    """Weyl orbit of a regular vector with determinant signs.
-
-    Raises if some orbit point is fixed by a simple reflection (the
-    vector is not regular and signs would be ill-defined).
-    """
-    start = tuple(v)
-    signs = {start: 1}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        s = signs[x]
-        for a in rs.simple_roots:
-            y = reflect(rs, x, a)
-            if y == x:
-                raise ValueError("vector is not regular, orbit signs undefined")
-            if y not in signs:
-                signs[y] = -s
-                queue.append(y)
-    return signs
+    """Weyl orbit of a regular vector with determinant signs, ``+1`` at
+    ``v``.  Raises if a label of the dominant conjugate is zero (the
+    vector is not regular and signs would be ill-defined)."""
+    if 0 in _dominant(rs, tuple(v))[1]:
+        raise ValueError("vector is not regular, orbit signs undefined")
+    return dict(_orbit(rs, tuple(v)))
 
 
 def zero_vec(rs: RootSystem) -> Vec:
@@ -401,14 +398,16 @@ def iter_dominant_weights(rs: RootSystem, lam: Vec):
     if not is_dominant(rs, lam):
         raise ValueError("highest coweight must be dominant")
     seen = {lam}
-    queue = [lam]
-    for mu in queue:
+    queue = [(lam, tuple(pairing(rs, lam, a) for a in rs.simple_roots))]
+    for mu, labels in queue:
         yield mu
-        for a in rs.positive_roots:
-            nu = tuple(x - y for x, y in zip(mu, a))
-            if nu not in seen and is_dominant(rs, nu):
-                seen.add(nu)
-                queue.append(nu)
+        for a, root_labels in zip(rs.positive_roots, rs.positive_root_labels):
+            new = tuple([l - r for l, r in zip(labels, root_labels)])
+            if min(new) >= 0:
+                nu = tuple([x - y for x, y in zip(mu, a)])
+                if nu not in seen:
+                    seen.add(nu)
+                    queue.append((nu, new))
 
 
 def orbit_size(rs: RootSystem, mu: Vec) -> int:
@@ -436,10 +435,9 @@ def orbit_size(rs: RootSystem, mu: Vec) -> int:
 def iter_weights(rs: RootSystem, lam: Vec):
     """The weights of :func:`weights_of`, one at a time, so a caller can
     stop before a large set is enumerated: the Weyl orbit of each
-    dominant weight (Stembridge's walk, :func:`dominant_weights_of`),
-    walked point by point."""
+    dominant weight of :func:`dominant_weights_of`, walked by :func:`_orbit`."""
     for mu in iter_dominant_weights(rs, lam):
-        yield from _orbit(rs, mu)
+        yield from (x for x, _ in _orbit(rs, mu))
 
 
 def dominant_weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:

@@ -59,6 +59,14 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
 
 
 _PARTITION_MEMO: dict = {}
+_FREUDENTHAL_MEMO: dict = {}
+
+# The most entries a system's memo keeps between calls: a fuller one is
+# emptied as the next weight_multiplicity or freudenthal_weight_table
+# starts, never during one.  A weight-queries repetition leaves at most
+# 797 partition entries (D5) and 4 tables per system.
+MAX_PARTITION_MEMO = 50_000
+MAX_FREUDENTHAL_TABLES = 256
 
 
 def _root_coeff_list(rs: RootSystem) -> list[tuple[int, ...]]:
@@ -78,8 +86,7 @@ def kostant_partition(nu: Vec, rs: RootSystem, q_graded: bool = False):
     target = rsys.simple_coefficients(rs, nu)
     if target is None or any(c < 0 for c in target):
         return QPolynomial.zero() if q_graded else 0
-    key = (rs.type_label, rs.rank)
-    memo = _PARTITION_MEMO.setdefault(key, {})
+    memo = _PARTITION_MEMO.setdefault((rs.type_label, rs.rank), {})
     roots = _root_coeff_list(rs)
 
     def rec(i: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -113,9 +120,9 @@ def kostant_partition(nu: Vec, rs: RootSystem, q_graded: bool = False):
 
 
 # The largest Weyl group whose orbit :func:`weight_multiplicity` walks,
-# |W(E6)|: the E6 and A7 (40,320) adjoint q-analogues at zero take 3-4 s
-# and at most 59 MiB; A8 (362,880) took 33 s and 298 MiB, D7 (322,560)
-# 23 s and 234 MiB (2-vCPU VM, Python 3.11.7).
+# |W(E6)|: the E6 and A7 (40,320) adjoint q-analogues at zero take 2.6
+# and 2.1 s and at most 41 MiB; A8 (362,880) took 21 s and 109 MiB, D7
+# (322,560) 12 s and 87 MiB (2-vCPU VM, Python 3.11.7).
 MAX_WEYL_ORDER = 51_840
 
 
@@ -139,6 +146,9 @@ def weight_multiplicity(lam: Vec, nu: Vec, rs: RootSystem, q_graded: bool = Fals
     # Multiplicities are Weyl invariant and the graded version is only
     # coefficient-positive at dominant weights, so evaluate there.
     nu = rsys.dominant_representative(rs, tuple(nu))
+    memo = _PARTITION_MEMO.setdefault((rs.type_label, rs.rank), {})
+    if len(memo) > MAX_PARTITION_MEMO:
+        memo.clear()
     start = tuple(2 * x + r for x, r in zip(lam, rs.two_rho))
     acc: list[int] = []
     for point, sign in rsys.w_orbit_signed(rs, start).items():
@@ -160,16 +170,15 @@ def weight_multiplicity(lam: Vec, nu: Vec, rs: RootSystem, q_graded: bool = Fals
     return QPolynomial(coeffs) if q_graded else sum(coeffs)
 
 
-_FREUDENTHAL_MEMO: dict = {}
-
-
 def freudenthal_weight_table(lam: Vec, rs: RootSystem) -> dict[Vec, int]:
     """Full weight table of the irreducible with highest coweight ``lam``
     by the Freudenthal recursion; independent of the Kostant route."""
     if not rsys.is_dominant(rs, lam):
         raise ValueError("highest coweight must be dominant")
-    key = (rs.type_label, rs.rank, lam)
-    cached = _FREUDENTHAL_MEMO.get(key)
+    memo = _FREUDENTHAL_MEMO.setdefault((rs.type_label, rs.rank), {})
+    if len(memo) > MAX_FREUDENTHAL_TABLES:
+        memo.clear()
+    cached = memo.get(lam)
     if cached is not None:
         return dict(cached)
 
@@ -200,7 +209,7 @@ def freudenthal_weight_table(lam: Vec, rs: RootSystem) -> dict[Vec, int]:
                 raise AssertionError("Freudenthal recursion produced a non-positive or fractional value")
         for v in rsys.w_orbit(rs, mu):
             table[v] = m
-    _FREUDENTHAL_MEMO[key] = dict(table)
+    memo[lam] = dict(table)
     return table
 
 

@@ -1,6 +1,12 @@
-"""Direct constructions of weight sets, Freudenthal tables and moment
-graph edges, kept as references for the structured ones in the package.
+"""Direct constructions of Weyl orbits, weight sets, Freudenthal tables
+and moment graph edges, kept as references for the structured ones in
+the package.
 
+* :func:`bfs_orbit` and :func:`signed_orbit` reflect every point in
+  every simple root and keep what they have seen;
+  :func:`dominant_representative` reflects in the first simple root
+  with a negative pairing.  The package walks each orbit once from its
+  dominant point in Dynkin-label coordinates, with no seen set.
 * :func:`membership_weights` tests each candidate: reflect it to its
   dominant conjugate, then compare with the highest coweight in the
   dominance order.  The package instead walks dominant coweights down
@@ -18,6 +24,52 @@ from gkmfactor import rootsystem as rsys
 from gkmfactor.momentgraph import Edge
 
 
+def reflect(rs, v, root):
+    """Reflection of ``v`` in the hyperplane of ``root`` (self-dual convention)."""
+    k = rsys.pairing(rs, v, root)
+    return tuple(x - k * y for x, y in zip(v, root))
+
+
+def dominant_representative(rs, v):
+    """The dominant conjugate of ``v``."""
+    while True:
+        for a in rs.simple_roots:
+            if sum(x * y for x, y in zip(v, a)) < 0:
+                v = reflect(rs, v, a)
+                break
+        else:
+            return v
+
+
+def bfs_orbit(rs, v) -> list:
+    """The Weyl orbit of ``v`` in breadth-first order along simple reflections."""
+    seen = {v}
+    queue = [v]
+    for x in queue:
+        for a in rs.simple_roots:
+            y = reflect(rs, x, a)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return queue
+
+
+def signed_orbit(rs, v) -> dict:
+    """``{point: det w}`` over the Weyl orbit of a regular ``v``, ``+1`` at ``v``."""
+    signs = {v: 1}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for a in rs.simple_roots:
+            y = reflect(rs, x, a)
+            if y == x:
+                raise ValueError("vector is not regular, orbit signs undefined")
+            if y not in signs:
+                signs[y] = -signs[x]
+                stack.append(y)
+    return signs
+
+
 def membership_weights(rs, lam) -> list:
     """The weight set of V(lam), sorted, by a membership test per candidate."""
     seen = {lam}
@@ -26,7 +78,7 @@ def membership_weights(rs, lam) -> list:
         v = queue.pop()
         for a in rs.simple_roots:
             w = tuple(x - y for x, y in zip(v, a))
-            if w not in seen and rsys.dominance_leq(rs, rsys.dominant_representative(rs, w), lam):
+            if w not in seen and rsys.dominance_leq(rs, dominant_representative(rs, w), lam):
                 seen.add(w)
                 queue.append(w)
     return sorted(seen)
@@ -54,13 +106,13 @@ def freudenthal_table(rs, lam) -> dict:
                 w = tuple(x + k * a for x, a in zip(mu, alpha))
                 if w not in weight_set:
                     break
-                rep = rsys.dominant_representative(rs, w)
+                rep = dominant_representative(rs, w)
                 num += sum(x * a for x, a in zip(w, alpha)) * mult[rep]
                 k += 1
         value, rest = divmod(8 * num, norm4(lam) - norm4(mu))
         assert not rest and value > 0
         mult[mu] = value
-    return {v: m for mu, m in mult.items() for v in rsys.w_orbit(rs, mu)}
+    return {v: m for mu, m in mult.items() for v in sorted(bfs_orbit(rs, mu))}
 
 
 def _edge_datum(rs, mu, nu):

@@ -1,7 +1,9 @@
-"""Root data: counts, closure, dominance, orders, coweight resolution."""
+"""Root data: counts, closure, dominance, orders, orbits, coweight
+resolution."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gkmfactor import rootsystem as rsys
+from graph_oracle import bfs_orbit, dominant_representative, reflect, signed_orbit
 
 ALL_SYSTEMS = (
     [("A", l) for l in range(1, 13)]
@@ -44,7 +47,7 @@ def test_reflection_closure(t, l):
     roots = set(rs.roots)
     for a in rs.roots:
         for b in rs.roots:
-            assert rsys.reflect(rs, b, a) in roots
+            assert reflect(rs, b, a) in roots
 
 
 @pytest.mark.parametrize("t,l", [("A", 2), ("A", 5), ("D", 5), ("E", 7)])
@@ -170,7 +173,7 @@ def test_pairing_refuses_an_e6_vector_off_the_lattice():
     with pytest.raises(ValueError, match="pairs non-integrally"):
         rsys.pairing(rs, v, rs.simple_roots[0])
     with pytest.raises(ValueError, match="pairs non-integrally"):
-        rsys.reflect(rs, v, rs.simple_roots[0])
+        reflect(rs, v, rs.simple_roots[0])
 
 
 def test_total_order_zero_theta():
@@ -320,9 +323,9 @@ def test_reflection_preserves_pairing_norm(spec, seed):
     rng = random.Random(seed)
     v = tuple(rng.randint(-3, 3) for _ in range(rs.ambient_dim))
     a = rs.roots[rng.randrange(rs.num_roots)]
-    w = rsys.reflect(rs, v, a)
+    w = reflect(rs, v, a)
     assert sum(x * x for x in w) == sum(x * x for x in v)
-    assert rsys.reflect(rs, w, a) == v
+    assert reflect(rs, w, a) == v
 
 
 def test_oversized_system_refused_before_closure(monkeypatch):
@@ -350,9 +353,10 @@ def _integral_fundamentals(rs):
     return out
 
 
-@pytest.mark.parametrize(
-    "t,l", [("A", l) for l in range(1, 7)] + [("D", l) for l in range(3, 7)] + [("E", 6)]
-)
+ORBIT_SYSTEMS = [("A", l) for l in range(1, 7)] + [("D", l) for l in range(3, 7)] + [("E", 6)]
+
+
+@pytest.mark.parametrize("t,l", ORBIT_SYSTEMS)
 def test_orbit_size_counts_the_orbit(t, l):
     rs = rsys.build(t, l)
     dominant = rsys.dominant_weights_of(rs, tuple(2 * x for x in rs.highest_root))
@@ -379,3 +383,82 @@ def test_weight_count_is_the_sum_of_orbit_sizes(t, l, lam):
     lam = rsys.resolve_coweight(rs, lam)
     total = sum(rsys.orbit_size(rs, mu) for mu in rsys.iter_dominant_weights(rs, lam))
     assert total == len(rsys.weights_of(rs, lam))
+
+
+@pytest.mark.parametrize("t,l", ORBIT_SYSTEMS)
+def test_orbit_walk_matches_the_oracle(t, l):
+    # Every point once, and the same points as the breadth-first walk.
+    rs = rsys.build(t, l)
+    dominant = rsys.dominant_weights_of(rs, tuple(2 * x for x in rs.highest_root))
+    for mu in dominant + _integral_fundamentals(rs):
+        assert sum(1 for _ in rsys._orbit(rs, mu)) == rsys.orbit_size(rs, mu), mu
+        assert rsys.w_orbit(rs, mu) == sorted(bfs_orbit(rs, mu)), mu
+
+
+@pytest.mark.parametrize("t,l", [("A", 3), ("A", 4), ("A", 5), ("D", 4), ("D", 5)])
+def test_signed_orbit_matches_the_oracle(t, l):
+    rs = rsys.build(t, l)
+    w1 = rsys.fundamental_coweight(rs, 1)
+    highest = [rs.highest_root, w1, tuple(2 * x for x in w1), rsys.fundamental_coweight(rs, 2)]
+    starts = [rs.two_rho] + [tuple(2 * x + r for x, r in zip(lam, rs.two_rho)) for lam in highest]
+    for v in starts:
+        assert rsys.w_orbit_signed(rs, v) == signed_orbit(rs, v), v
+
+
+def test_signed_orbit_refuses_a_non_regular_vector():
+    rs = rsys.build("A", 3)
+    theta = rs.highest_root
+    for v in (theta, tuple(-x for x in theta), rsys.zero_vec(rs), (2, 1, 1, 0)):
+        with pytest.raises(ValueError, match="vector is not regular"):
+            signed_orbit(rs, v)
+        with pytest.raises(ValueError, match="vector is not regular"):
+            rsys.w_orbit_signed(rs, v)
+
+
+@pytest.mark.parametrize("t,l", [("A", 3), ("D", 4), ("D", 5)])
+def test_signed_orbit_of_a_non_dominant_start(t, l):
+    # Signs are relative to the start, which keeps +1 wherever it lies.
+    rs = rsys.build(t, l)
+    once = reflect(rs, rs.two_rho, rs.simple_roots[0])
+    twice = reflect(rs, once, rs.simple_roots[1])
+    for start in (once, twice):
+        signs = rsys.w_orbit_signed(rs, start)
+        assert signs[start] == 1
+        assert signs == signed_orbit(rs, start)
+    assert rsys.w_orbit_signed(rs, once)[rs.two_rho] == -1
+    assert rsys.w_orbit_signed(rs, twice)[rs.two_rho] == 1
+
+
+@pytest.mark.parametrize(
+    "t,l", [("A", 2), ("A", 3), ("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+)
+def test_dominant_representative_matches_the_oracle(t, l):
+    # Random integer vectors in types A and D (off the root span in type
+    # A), random root-lattice vectors in type E.
+    rs = rsys.build(t, l)
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        if t == "E":
+            c = [rng.randint(-4, 4) for _ in range(rs.rank)]
+            v = tuple(sum(x * a[k] for x, a in zip(c, rs.simple_roots)) for k in range(8))
+        else:
+            v = tuple(rng.randint(-4, 4) for _ in range(rs.ambient_dim))
+        if rsys.is_dominant(rs, v):
+            continue
+        checked += 1
+        assert rsys.dominant_representative(rs, v) == dominant_representative(rs, v), v
+    assert checked >= 40
+
+
+def test_orbit_walk_keeps_no_seen_set():
+    # The breadth-first walk with a seen set peaked at 11.9 MiB here.
+    rs = rsys.build("E", 6)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in rsys._orbit(rs, rs.two_rho))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 51_840
+    assert peak < 2 ** 20

@@ -11,6 +11,7 @@ import itertools
 import pytest
 
 from gkmfactor import rootsystem as rsys
+from graph_oracle import reflect
 from gkmfactor import weights
 from gkmfactor.weights import (
     QPolynomial,
@@ -153,7 +154,7 @@ def test_weyl_symmetry_of_multiplicities():
     for nu in rsys.weights_of(rs, theta):
         for a in rs.simple_roots:
             assert weight_multiplicity(theta, nu, rs) == weight_multiplicity(
-                theta, rsys.reflect(rs, nu, a), rs
+                theta, reflect(rs, nu, a), rs
             )
 
 
@@ -292,3 +293,48 @@ def test_adjoint_table_total_dimension(t, l):
     rs = rsys.build(t, l)
     table = freudenthal_weight_table(rs.highest_root, rs)
     assert sum(table.values()) == rs.num_roots + rs.rank
+
+
+def test_partition_memo_is_bounded(monkeypatch):
+    # A system's memo is emptied when a multiplicity starts with more
+    # than MAX_PARTITION_MEMO entries in it, never during the sum, and
+    # the multiplicities come out the same.
+    rs = rsys.build("A", 3)
+    highest = [tuple(k * x for x in rs.highest_root) for k in (1, 2, 3)]
+    queries = [(lam, nu) for lam in highest for nu in rsys.dominant_weights_of(rs, lam)]
+    weights._PARTITION_MEMO.clear()
+    expected = [weight_multiplicity(lam, nu, rs, q_graded=True) for lam, nu in queries]
+    assert len(weights._PARTITION_MEMO[("A", 3)]) > 40
+
+    monkeypatch.setattr(weights, "MAX_PARTITION_MEMO", 40)
+    weights._PARTITION_MEMO.clear()
+    sizes = []
+    partition = weights.kostant_partition
+
+    def recording(nu, rs, q_graded=False):
+        sizes.append(len(weights._PARTITION_MEMO.get(("A", 3), {})))
+        return partition(nu, rs, q_graded)
+
+    monkeypatch.setattr(weights, "kostant_partition", recording)
+    emptied = 0
+    for (lam, nu), value in zip(queries, expected):
+        sizes.clear()
+        before = len(weights._PARTITION_MEMO.get(("A", 3), {}))
+        assert weight_multiplicity(lam, nu, rs, q_graded=True) == value
+        assert sizes[0] <= 40
+        assert sizes == sorted(sizes)  # nothing emptied during the sum
+        emptied += sizes[0] < before
+    assert emptied >= 2
+
+
+def test_freudenthal_memo_is_bounded(monkeypatch):
+    rs = rsys.build("A", 2)
+    highest = [(a + b, b, 0) for a in range(4) for b in range(3)]
+    weights._FREUDENTHAL_MEMO.clear()
+    expected = [freudenthal_weight_table(lam, rs) for lam in highest]
+    monkeypatch.setattr(weights, "MAX_FREUDENTHAL_TABLES", 3)
+    weights._FREUDENTHAL_MEMO.clear()
+    for lam, table in zip(highest, expected):
+        assert freudenthal_weight_table(lam, rs) == table
+        assert len(weights._FREUDENTHAL_MEMO[("A", 2)]) <= 4
+    assert weights.MAX_FREUDENTHAL_TABLES < len(highest)
