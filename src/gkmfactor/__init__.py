@@ -21,7 +21,7 @@ from .stalks import (
     multiplicity_matrix,
     stalk_ranks,
 )
-from .transition import TransitionBundle, build_A, build_Q, compose_C, transition_bundle, verify_bundle
+from .transition import TransitionBundle, transition_bundle, verify_bundle
 from .weights import (
     QPolynomial,
     kostant_partition,
@@ -40,10 +40,7 @@ __all__ = [
     "TransitionBundle",
     "Truncation",
     "build",
-    "build_A",
-    "build_Q",
     "build_graph",
-    "compose_C",
     "export_graph",
     "import_graph",
     "kostant_partition",

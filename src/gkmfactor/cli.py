@@ -306,15 +306,18 @@ def cmd_transition(args, out):
         "mu": list(mu),
         "weight": list(nu),
         "rows": [list(v) for v in bundle.row_classes],
-        "P": [_exact(x) for x in bundle.p_diag],
+        "P": [1] * len(bundle.row_classes),
         "M_block": [list(row) for row in bundle.m_block],
         "A_block": {
-            "rows": [list(v) for v in bundle.spec_index],
-            "pairs": bundle.a.pairs.labels(),
-            "entries": [list(row) for row in bundle.a.entries],
+            "rows": [list(nu)],
+            "pairs": [f"{list(s)}#{i}|{list(t)}#{j}" for s, i, t, j in bundle.pairs],
+            "entries": [list(bundle.a_row)],
         },
-        "Q": "unit" if bundle.q.is_unit else bundle.q.entry_strings(),
-        "C_block": [[_exact(x) for x in row] for row in bundle.c_block],
+        "Q": "unit" if bundle.q_factors is None else [
+            " * ".join("(" + ",".join(map(str, f)) + ")" for f in fs) or "1"
+            for fs in bundle.q_factors
+        ],
+        "C_block": [list(row) for row in bundle.c_block],
         "checks": {c.name: {"ok": c.ok, "detail": c.detail} for c in bundle.checks},
         "rank_C": bundle.c_rank(),
         "rank_M": bundle.m_rank(),
@@ -324,8 +327,8 @@ def cmd_transition(args, out):
     else:
         out.write(f"rows: {[list(v) for v in bundle.row_classes]}\n")
         out.write(f"M block: {[list(r) for r in bundle.m_block]}\n")
-        out.write(f"A row: {[list(r) for r in bundle.a.entries]}\n")
-        out.write(f"C block: {[[str(_exact(x)) for x in row] for row in bundle.c_block]}\n")
+        out.write(f"A row: {[list(bundle.a_row)]}\n")
+        out.write(f"C block: {[[str(x) for x in row] for row in bundle.c_block]}\n")
         for c in bundle.checks:
             out.write(f"check {c.name}: {'ok' if c.ok else 'FAIL'} ({c.detail})\n")
     return 0 if all(c.ok for c in bundle.checks) else 1

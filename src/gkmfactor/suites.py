@@ -42,7 +42,7 @@ def suite_sl3() -> list[Check]:
     zero = rsys.zero_vec(rs)
     bundle = transition_bundle(rs, lam, mu, zero)
     checks = [
-        _check("collision-row", [1, 1, 1], [bundle.a.entries[0][k] for k in range(3)]),
+        _check("collision-row", [1, 1, 1], list(bundle.a_row)),
         _check(
             "multiplicity-column",
             [2, 1],
@@ -51,7 +51,7 @@ def suite_sl3() -> list[Check]:
         _check(
             "composed-block",
             [[2, 2, 2], [1, 1, 1]],
-            [[int(x) for x in row] for row in bundle.c_block],
+            [list(row) for row in bundle.c_block],
         ),
         _check("row-classes", [rs.highest_root, zero], list(bundle.row_classes)),
         _check("block-rank", 1, bundle.c_rank()),

@@ -1,25 +1,17 @@
-"""Transition-block factors, composition, and the audit checks."""
+"""Transition blocks: the collision row, the Euler labels, the composed
+block, argument checks, and the audit checks on tampered blocks."""
 
 import dataclasses
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gkmfactor import rootsystem as rsys
-from gkmfactor.momentgraph import Truncation, build_graph
-from gkmfactor.transition import (
-    EulerDiagonal,
-    build_A,
-    build_Q,
-    compose_C,
-    pair_euler_diagonal,
-    transition_bundle,
-    verify_bundle,
-    weight_pairs,
-)
+from gkmfactor import transition
+from gkmfactor.momentgraph import Truncation
+from gkmfactor.transition import transition_bundle, verify_bundle, weight_pairs
 from gkmfactor.weights import freudenthal_weight_table
 
 
@@ -30,11 +22,26 @@ def a2_minuscule_setup():
     return rs, lam, mu
 
 
-def test_build_A_minuscule_row():
+def sl3_bundle(**kwargs):
     rs, lam, mu = a2_minuscule_setup()
-    a = build_A(lam, mu, rs, rsys.zero_vec(rs))
-    assert a.entries == ((1, 1, 1),)
-    assert len(a.pairs) == 3
+    return transition_bundle(rs, lam, mu, rsys.zero_vec(rs), **kwargs)
+
+
+def with_m(bundle, m_block):
+    """The bundle with another M column and the C block it composes to."""
+    c = tuple(tuple(m * a for a in bundle.a_row) for (m,) in m_block)
+    return dataclasses.replace(bundle, m_block=m_block, c_block=c)
+
+
+def audit(bundle, **fields):
+    """The checks of ``bundle`` with ``fields`` replaced, by name."""
+    return {c.name: c for c in verify_bundle(dataclasses.replace(bundle, **fields))}
+
+
+def test_build_A_minuscule_row():
+    bundle = sl3_bundle()
+    assert bundle.a_row == (1, 1, 1)
+    assert len(bundle.pairs) == 3
 
 
 @pytest.mark.parametrize("t,l,lam,mu", [
@@ -45,18 +52,17 @@ def test_build_A_minuscule_row():
 ])
 def test_weight_blocks_partition_the_tensor_basis(t, l, lam, mu):
     # Each pair collides into its weight sum, so over the vertices of the
-    # lam + mu truncation the blocks hold every tensor basis vector once,
-    # each in a row of ones; no block is empty.
+    # lam + mu truncation the blocks hold every tensor basis vector once;
+    # no block is empty.
     rs = rsys.build(t, l)
     lam, mu = rsys.resolve_coweight(rs, lam), rsys.resolve_coweight(rs, mu)
     total = tuple(a + b for a, b in zip(lam, mu))
     seen = []
     for nu in Truncation(rs, total).vertex_set():
-        a = build_A(lam, mu, rs, nu)
-        assert a.row_coweights == (nu,)
-        assert a.entries == ((1,) * len(a.pairs),) and len(a.pairs) > 0
-        assert all(tuple(x + y for x, y in zip(s, u)) == nu for s, _, u, _ in a.pairs.pairs)
-        seen.extend(a.pairs.pairs)
+        pairs = weight_pairs(lam, mu, rs, nu)
+        assert len(pairs) > 0
+        assert all(tuple(x + y for x, y in zip(s, u)) == nu for s, _, u, _ in pairs)
+        seen.extend(pairs)
     dims = [sum(freudenthal_weight_table(v, rs).values()) for v in (lam, mu)]
     assert len(seen) == len(set(seen)) == dims[0] * dims[1]
 
@@ -65,82 +71,68 @@ def test_build_A_a1_adjoint_zero_row():
     rs = rsys.build("A", 1)
     theta = rs.highest_root
     zero = rsys.zero_vec(rs)
-    a = build_A(theta, theta, rs, zero)
+    bundle = transition_bundle(rs, theta, theta, zero)
     # pairs (alpha,-alpha), (0,0) x (l x l), (-alpha,alpha)
-    assert len(a.pairs) == 3
-    assert a.entries == ((1, 1, 1),)
+    assert len(bundle.pairs) == 3
+    assert bundle.a_row == (1, 1, 1)
 
 
 def test_build_A_rejects_non_dominant():
     rs = rsys.build("A", 2)
-    with pytest.raises(ValueError):
-        build_A(tuple(-x for x in rs.highest_root), rs.highest_root, rs, rsys.zero_vec(rs))
+    with pytest.raises(ValueError, match="dominant"):
+        transition_bundle(
+            rs, tuple(-x for x in rs.highest_root), rs.highest_root, rsys.zero_vec(rs)
+        )
 
 
 def test_build_Q_symbolic():
+    # With mu = 0 the one pair at weight zero is (0, 0), and the trivial
+    # factor's single vertex has no edges, so Q is theta's zero-vertex
+    # labels alone.
     rs = rsys.build("A", 1)
-    g = build_graph(Truncation(rs, rs.highest_root))
-    sym = build_Q(g)
-    zero_pos = g.vertices.index((0, 0))
-    assert len(sym.factors[zero_pos]) == 2
-    assert all(fs for fs in sym.factors)
-    assert sym.entry_strings()[zero_pos] == "(1,-1) * (1,1)"
+    zero = rsys.zero_vec(rs)
+    bundle = transition_bundle(rs, rs.highest_root, zero, zero, euler="symbolic")
+    assert bundle.pairs == ((zero, 0, zero, 0),)
+    assert bundle.q_factors == (((1, -1), (1, 1)),)
 
 
 def test_unit_euler_diagonal_and_unknown_mode():
-    rs, lam, mu = a2_minuscule_setup()
-    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs))
-    assert bundle.q.is_unit
-    assert bundle.q.entry_strings() == ["1", "1", "1"]
+    assert sl3_bundle().q_factors is None
     with pytest.raises(ValueError, match="numeric"):
-        transition_bundle(rs, lam, mu, rsys.zero_vec(rs), euler="numeric")
+        sl3_bundle(euler="numeric")
 
 
 def test_pair_euler_diagonal_sizes():
-    rs, lam, mu = a2_minuscule_setup()
-    pairs = weight_pairs(lam, mu, rs, rsys.zero_vec(rs))
-    q = pair_euler_diagonal(
-        build_graph(Truncation(rs, lam)), build_graph(Truncation(rs, mu)), pairs
-    )
-    assert len(q.factors) == 3
-    assert not q.is_unit
+    # Every vertex of the two minuscule graphs has two edges, so each
+    # pair's entry is a product of four labels.
+    q = sl3_bundle(euler="symbolic").q_factors
+    assert len(q) == 3
+    assert all(len(fs) == 4 and all(any(f) for f in fs) for fs in q)
 
 
 def test_sl3_block():
-    rs, lam, mu = a2_minuscule_setup()
-    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs))
+    bundle = sl3_bundle()
+    rs = bundle.rs
     assert bundle.row_classes == (rs.highest_root, rsys.zero_vec(rs))
     assert bundle.m_block == ((2,), (1,))
-    assert bundle.c_block == (
-        (Fraction(2), Fraction(2), Fraction(2)),
-        (Fraction(1), Fraction(1), Fraction(1)),
-    )
+    assert bundle.c_block == ((2, 2, 2), (1, 1, 1))
     assert bundle.c_rank() == 1
     assert all(c.ok for c in bundle.checks)
 
 
 def test_compose_identity_m_gives_a():
+    # At weight theta only the theta class supports the stalk, so M is
+    # the first unit column and C's first row is A.
     rs, lam, mu = a2_minuscule_setup()
-    a = build_A(lam, mu, rs, rsys.zero_vec(rs))
-    m = ((1,),)
-    p = (Fraction(1),)
-    q = EulerDiagonal(index=a.pairs.pairs, factors=None)
-    c = compose_C(p, m, a, q)
-    assert c == ((Fraction(1), Fraction(1), Fraction(1)),)
-
-
-def test_compose_dimension_mismatch():
-    rs, lam, mu = a2_minuscule_setup()
-    a = build_A(lam, mu, rs, rsys.zero_vec(rs))
-    with pytest.raises(ValueError):
-        compose_C((Fraction(1),), ((1, 0),), a, EulerDiagonal(index=a.pairs.pairs))
+    bundle = transition_bundle(rs, lam, mu, rs.highest_root)
+    assert bundle.m_block == ((1,), (0,))
+    assert bundle.c_block == (bundle.a_row, (0,) * len(bundle.a_row))
 
 
 def test_symbolic_euler_keeps_integer_core():
-    rs, lam, mu = a2_minuscule_setup()
-    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs), euler="symbolic")
-    assert not bundle.q.is_unit
-    assert bundle.c_block[0] == (Fraction(2), Fraction(2), Fraction(2))
+    bundle = sl3_bundle(euler="symbolic")
+    assert bundle.q_factors is not None
+    assert bundle.c_block[0] == (2, 2, 2)
     assert all(c.ok for c in bundle.checks)
 
 
@@ -152,27 +144,11 @@ def test_adjoint_zero_block_rank_bound():
     assert all(c.ok for c in bundle.checks)
 
 
-@pytest.mark.parametrize("t,l,lam,mu", [("A", 2, "omega1", "omega1*"), ("A", 2, "theta", "theta")])
-def test_non_unit_p_diagonal_keeps_ranks_and_audits(t, l, lam, mu):
-    rs = rsys.build(t, l)
-    lam, mu = rsys.resolve_coweight(rs, lam), rsys.resolve_coweight(rs, mu)
-    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs))
-    assert bundle.p_diag == tuple(Fraction(1) for _ in bundle.row_classes)
-    p = tuple(Fraction(k + 1, 2) * (-1) ** k for k in range(len(bundle.row_classes)))
-    c = compose_C(p, bundle.m_block, bundle.a, bundle.q)
-    for i, row in enumerate(c):
-        assert row == tuple(p[i] * x for x in bundle.c_block[i])
-    scaled = dataclasses.replace(bundle, p_diag=p, c_block=c)
-    assert scaled.c_rank() == bundle.c_rank() and scaled.m_rank() == bundle.m_rank()
-    assert [(x.name, x.ok) for x in verify_bundle(scaled)] == [
-        (x.name, True) for x in bundle.checks
-    ]
-
-
 @pytest.mark.parametrize("lam,mu,nu", [
     ("omega1", "omega1", "zero"),
     ("omega1", "omega1*", "5,0,-5"),
     ("theta", "theta", "3,0,-3"),
+    ("omega1", "omega1*", "1,0,0"),
 ])
 def test_block_at_a_non_weight_refused(lam, mu, nu):
     # nu is a weight of the tensor product exactly when it is a vertex
@@ -183,29 +159,78 @@ def test_block_at_a_non_weight_refused(lam, mu, nu):
         transition_bundle(rs, *args)
 
 
+@pytest.mark.parametrize("lam,nu,euler,message", [
+    ("omega1", "zero", "numeric", "unknown Euler mode 'numeric'"),
+    ("-1,0,1", "zero", "unit", "both highest coweights must be dominant"),
+    ("omega1", "3,0,-3", "unit", "is not a weight"),
+], ids=["unknown-euler", "non-dominant", "non-weight"])
+def test_bad_arguments_refused_before_any_table_or_column(lam, nu, euler, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built before the arguments were checked")
+
+    monkeypatch.setattr(transition, "stalk_ranks", refuse)
+    monkeypatch.setattr(transition, "freudenthal_weight_table", refuse)
+    rs = rsys.build("A", 2)
+    lam, mu, nu = (rsys.resolve_coweight(rs, x) for x in (lam, "omega1*", nu))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        transition_bundle(rs, lam, mu, nu, euler=euler)
+
+
+def test_bundle_and_its_audit_are_frozen():
+    bundle = sl3_bundle()
+    assert isinstance(bundle.checks, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.checks = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.checks[0].ok = False
+
+
 def test_adversarial_negative_entry_located():
-    rs, lam, mu = a2_minuscule_setup()
-    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs))
-    bad_entries = ((1, -1, 1),)
-    tampered = dataclasses.replace(
-        bundle.a, entries=bad_entries
-    )
-    broken = dataclasses.replace(bundle, a=tampered)
-    checks = {c.name: c for c in verify_bundle(broken)}
+    checks = audit(sl3_bundle(), a_row=(1, -1, 1))
     assert not checks["nonnegative-integrality"].ok
-    assert "A[0][1]" in checks["nonnegative-integrality"].detail
+    assert checks["nonnegative-integrality"].detail == "violations at A[0][1]=-1"
+
+
+def test_rank_bound_fires_on_a_rank_two_composite():
+    checks = audit(sl3_bundle(), c_block=((2, 2, 2), (1, 0, 1)))
+    assert not checks["rank-bound"].ok
+    assert checks["rank-bound"].detail == "rank(C)=2 <= rank(M)=1"
+
+
+def test_rank_bound_names_the_cartan_rank_on_the_adjoint_zero_block():
+    rs = rsys.build("A", 1)
+    theta = rs.highest_root
+    bundle = transition_bundle(rs, theta, theta, rsys.zero_vec(rs))
+    checks = audit(bundle, c_block=((1, 1, 1), (1, 0, 1), (1, 1, 1)))
+    assert not checks["rank-bound"].ok
+    assert checks["rank-bound"].detail == (
+        "rank(C)=2 <= rank(M)=1; adjoint zero block rank 2 <= rank(G)=1"
+    )
+
+
+def test_monomial_check_fails_on_a_column_with_two_nonzeros():
+    checks = audit(sl3_bundle(), m_block=((1,), (0,)), c_block=((1, 1, 1), (1, 0, 0)))
+    assert not checks["condition-a-monomial"].ok
+    assert checks["condition-a-monomial"].detail == "column 0 has 2 nonzeros"
+
+
+def test_support_check_names_an_unwitnessed_entry():
+    # A zeroed collision entry leaves column 1 of C unwitnessed; the
+    # detail names the last such entry.
+    checks = audit(sl3_bundle(), a_row=(1, 0, 1))
+    assert not checks["support"].ok
+    assert checks["support"].detail == "entry (1,1) lacks a witness"
+
+
+def test_column_sparsity_check_names_an_overfull_column():
+    # M sums to 1, so each column of C may hold one nonzero, not two.
+    checks = audit(sl3_bundle(), m_block=((1,), (0,)))
+    assert not checks["column-sparsity"].ok
+    assert checks["column-sparsity"].detail == "column 2: 2 nonzeros exceed bound 1"
 
 
 def test_monomial_check_fires_on_identity_m():
-    rs, lam, mu = a2_minuscule_setup()
-    bundle = transition_bundle(rs, lam, mu, rsys.zero_vec(rs))
-    identity_m = ((1,), (0,))
-    tweaked = dataclasses.replace(bundle, m_block=identity_m)
-    tweaked = dataclasses.replace(
-        tweaked,
-        c_block=compose_C(tweaked.p_diag, identity_m, tweaked.a, tweaked.q),
-    )
-    checks = {c.name: c for c in verify_bundle(tweaked)}
+    checks = {c.name: c for c in verify_bundle(with_m(sl3_bundle(), ((1,), (0,))))}
     assert checks["condition-a-monomial"].ok
     assert "monomial" in checks["condition-a-monomial"].detail
 
@@ -226,11 +251,7 @@ def test_random_bundles_audit(m_rows, seed):
     m_block = tuple((r[0],) for r in m_rows)[: len(bundle.row_classes)]
     while len(m_block) < len(bundle.row_classes):
         m_block = m_block + ((0,),)
-    c = compose_C(
-        tuple(Fraction(1) for _ in m_block), m_block, bundle.a, bundle.q
-    )
-    patched = dataclasses.replace(bundle, m_block=m_block, c_block=c)
-    checks = {c.name: c for c in verify_bundle(patched)}
+    checks = {c.name: c for c in verify_bundle(with_m(bundle, m_block))}
     assert checks["nonnegative-integrality"].ok
     assert checks["rank-bound"].ok or any(sum(row) for row in m_block) == 0
     assert checks["support"].ok
