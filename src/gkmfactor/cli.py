@@ -91,16 +91,18 @@ class SystemSizeError(RuntimeError):
 
 
 # The most estimated steps ``tensor-dim`` accepts for its two Freudenthal
-# tables.  A weight counts 5 * rank steps (its orbit's reflections), and
-# each dominant weight mu adds how far every alpha-string above it can
-# climb, ht(lam - mu) // ht(alpha).  A step took 1-2.5 us: E7 omega4
-# with theta (0.87 million steps) took 0.8 s (0.2 s since each orbit
-# point is walked once) and A1 1000theta (0.51 million) 0.8 s; A2
-# 200theta (9.6 million) took 13.5 s, A1 2000theta (2.0 million) 4.7 s
-# and E6 5theta (3.4 million) 3.5 s.  The count walks only the dominant
-# weights and takes each orbit's size from rootsystem.orbit_size,
-# stopping once past the ceiling: 8 ms for E7 omega4 with theta and
-# under 1 ms to refuse E8 omega4 (2-vCPU VM, Python 3.11.7).
+# tables.  A weight counts rank steps (its place in the orbit walk and
+# the table), and each dominant weight mu adds how far every
+# alpha-string above it can climb, ht(lam - mu) // ht(alpha).  A step
+# takes 1.1-2.3 us, one cold table pair at the zero weight each: E7
+# omega4 with theta (0.18 million steps) 0.29 s, E6 5theta (0.68
+# million) 1.1 s and A1 1000theta (0.50 million) 1.0 s; A2 100theta
+# with theta (1.12 million) 1.9 s, A1 2000theta (2.0 million) 4.6 s and
+# A2 200theta with theta (8.6 million) 10.6 s.  The count walks only
+# the dominant weights and takes each orbit's size from
+# rootsystem.orbit_size, stopping once past the ceiling: 8 ms for E7
+# omega4 with theta and under 1 ms to refuse E8 omega4 (2-vCPU VM,
+# Python 3.11.7).
 MAX_FREUDENTHAL_STEPS = 1_000_000
 
 # The most partition cells ``mult`` accepts: positive roots times the
@@ -123,7 +125,7 @@ def _tensor_steps(rs, lam, mu):
     for top in (lam, mu):
         top_height = rsys.height_key(rs, top)
         for w in rsys.iter_dominant_weights(rs, top):
-            steps += 5 * rs.rank * rsys.orbit_size(rs, w)
+            steps += rs.rank * rsys.orbit_size(rs, w)
             steps += sum((top_height - rsys.height_key(rs, w)) // h for h in heights)
             yield steps
 

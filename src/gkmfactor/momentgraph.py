@@ -37,6 +37,7 @@ rank invariance across extensions is part of the test suite.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -82,6 +83,7 @@ class MomentGraph:
             adj[e.u].append(k)
             adj[e.v].append(k)
         self.adjacency = adj
+        self._num_vars = rs.rank + 1
         self._level = {
             i: self._level_key(v) for i, v in enumerate(self.vertices)
         }
@@ -100,8 +102,21 @@ class MomentGraph:
 
     @property
     def num_vars(self) -> int:
-        """Label coordinates: rank-many finite directions plus delta."""
-        return self.rs.rank + 1
+        """Label coordinates: rank-many finite directions plus delta, or
+        the rows of the projection of a :meth:`_projected` graph."""
+        return self._num_vars
+
+    def _projected(self, P) -> MomentGraph:
+        """This graph with every label ``l`` replaced by ``P l``, over
+        ``len(P)`` variables.  Vertices, adjacency and levels are shared
+        with this graph, which is left as it is."""
+        g = copy.copy(self)
+        g.edges = tuple(
+            Edge(e.u, e.v, tuple(sum(p * c for p, c in zip(row, e.label)) for row in P))
+            for e in self.edges
+        )
+        g._num_vars = len(P)
+        return g
 
     def level(self, v: Vec):
         return self._level[self.vindex[v]]

@@ -150,6 +150,11 @@ class LinearFormReducer:
 
 _REDUCERS: dict[tuple[int, tuple[int, ...]], LinearFormReducer] = {}
 
+# The most reducers kept between stalk columns: a fuller cache is
+# emptied as the next stalks.stalk_ranks miss starts (see
+# stalks.MAX_CACHED_COLUMNS).
+MAX_REDUCERS = 10_000
+
 
 def reducer_for(form, num_vars: int) -> LinearFormReducer:
     """Shared reducer cache; labels repeat heavily across a moment graph."""

@@ -1,10 +1,9 @@
 """Acceptance suite: every exit criterion, pinned at its stated tolerance.
 
 All equalities are exact (integers and rationals); the per-criterion
-summary is printed by the terminal hook in conftest.  The D5 adjoint
-column and the E6 stalk computation, a stretch target, are marked
-``expensive`` and deselected by default (run with ``pytest -m
-expensive``).
+summary is printed by the terminal hook in conftest.  The E8 adjoint
+column is marked ``expensive`` and deselected by default (run with
+``pytest -m expensive``).
 """
 
 import dataclasses
@@ -49,10 +48,9 @@ def test_criterion_2_adjoint_stalk_rank(t, l):
     assert elapsed < 30.0, f"{t}{l} took {elapsed:.1f}s"
 
 
-@pytest.mark.expensive
 def test_criterion_2_d5_adjoint_stalk_ranks():
-    # One cold column of 41 vertices whose origin has 40 upward edges;
-    # about a minute and 0.7 GiB in one process.
+    # One cold column of 41 vertices whose origin has 40 upward edges:
+    # about 0.2 s over the rank-2 subtorus.
     rs = rsys.build("D", 5)
     theta = rs.highest_root
     column = stalk_ranks(Truncation(rs, theta))
@@ -61,14 +59,23 @@ def test_criterion_2_d5_adjoint_stalk_ranks():
         assert rank == weight_multiplicity(theta, v, rs), v
 
 
-@pytest.mark.expensive
 def test_criterion_2_stretch_e6_adjoint_stalk():
-    # Stretch target: exact value 6.  The per-degree section bases of
-    # the 73-vertex, 7-variable system are far beyond desk scale for
-    # this engine; expect a very long run if selected explicitly.
+    # Stretch target: exact value 6, in degrees the exponents of E6
+    # minus one (the q-analogue of the adjoint representation at zero).
+    # About 1 s over the rank-2 subtorus.
     rs = rsys.build("E", 6)
     column = stalk_ranks(Truncation(rs, rs.highest_root))
     assert column.ranks[rsys.zero_vec(rs)] == 6
+    assert column.profiles[rsys.zero_vec(rs)] == (0, 3, 4, 6, 7, 10)
+
+
+@pytest.mark.expensive
+def test_criterion_2_e8_adjoint_origin_profile():
+    # 241 vertices at degree bound 30: about 150 s.  The origin's
+    # generators sit in the exponents of E8 minus one.
+    rs = rsys.build("E", 8)
+    column = stalk_ranks(Truncation(rs, rs.highest_root))
+    assert column.profiles[rsys.zero_vec(rs)] == (0, 6, 10, 12, 16, 18, 22, 28)
 
 
 @pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3)])

@@ -463,7 +463,7 @@ def per_weight_steps(rs, lam, mu):
     for top in (lam, mu):
         top_height = rsys.height_key(rs, top)
         for w in rsys.iter_weights(rs, top):
-            steps += 5 * rs.rank
+            steps += rs.rank
             if rsys.is_dominant(rs, w):
                 steps += sum((top_height - rsys.height_key(rs, w)) // h for h in heights)
     return steps

@@ -16,7 +16,7 @@ import pytest
 
 from gkmfactor import kernels, stalks
 from gkmfactor import rootsystem as rsys
-from gkmfactor.momentgraph import Truncation, build_graph
+from gkmfactor.momentgraph import Truncation, build_graph, gkm_violations
 from gkmfactor.poly import monomials
 from gkmfactor.stalks import (
     DegreeBoundError,
@@ -510,3 +510,149 @@ def test_extension_systems_digest(t, l, name):
 @pytest.mark.parametrize("t,l,name", sorted(KERNEL_DIGESTS), ids=lambda x: str(x))
 def test_extension_kernels_digest(t, l, name):
     assert _column_digests(t, l, name)[1] == KERNEL_DIGESTS[(t, l, name)]
+
+
+# The rank-2 subtorus (see the stalks module docstring) against the
+# n-variable route, run_column on the truncation's own graph: every
+# column above, plus D4 theta.
+SUBTORUS_COLUMNS = sorted({*GOLDEN_COLUMNS, *EXTENSION_DIGESTS, ("D", 4, "theta")})
+
+
+@functools.cache
+def _n_variable_column(t, l, name):
+    rs = rsys.build(t, l)
+    tr = Truncation(rs, _coweight(rs, name))
+    return run_column(build_graph(tr), default_degree_bound(tr))
+
+
+@pytest.mark.parametrize("t,l,name", SUBTORUS_COLUMNS, ids=lambda x: str(x))
+def test_subtorus_column_matches_the_n_variable_route(t, l, name):
+    rs = rsys.build(t, l)
+    tr = Truncation(rs, _coweight(rs, name))
+    col = stalk_ranks(tr)
+    oracle = _n_variable_column(t, l, name)
+    assert col.graph == oracle.graph and col.graph.num_vars == rs.rank + 1
+    assert col.order == oracle.order
+    assert col.profiles == oracle.profiles
+    assert col.ranks == oracle.ranks
+    assert col.section_dims == oracle.section_dims
+
+
+@pytest.mark.parametrize("t,l,scale", [("A", 4, 1), ("D", 4, 1), ("A", 3, 2)])
+def test_subtorus_profiles_pass_the_q_certificate(t, l, scale):
+    # The convention of test_generator_profile_shape_matches_graded_oracle:
+    # the generator degrees are the q-powers up to one shift per vertex.
+    rs = rsys.build(t, l)
+    lam = tuple(scale * x for x in rs.highest_root)
+    col = stalk_ranks(Truncation(rs, lam))
+    assert len(col.profiles) == len(col.graph.vertices)
+    for v, profile in col.profiles.items():
+        graded = weight_multiplicity(lam, v, rs, q_graded=True)
+        powers = [k for k, c in enumerate(graded.coeffs) for _ in range(c)]
+        prof = sorted(profile)
+        shift = powers[0] - prof[0]
+        assert [p + shift for p in prof] == powers, (v, profile, graded.coeffs)
+
+
+def _column_over(monkeypatch, tr, projections):
+    """A cold stalk_ranks column whose candidate projections are
+    ``projections``; returns the column and the plane graph it ran on."""
+    ran = []
+    real = stalks.run_column
+    monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
+    monkeypatch.setattr(stalks, "_projections", lambda n: iter(projections))
+    monkeypatch.setattr(stalks, "run_column", lambda g, D: ran.append(g) or real(g, D))
+    col = stalk_ranks(tr)
+    (plane,) = ran
+    assert plane.num_vars == 2
+    return col, plane
+
+
+def test_two_projections_give_the_same_profiles(monkeypatch):
+    rs = rsys.build("A", 3)
+    tr = Truncation(rs, tuple(2 * x for x in rs.highest_root))
+    cols, labels = [], []
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        candidates = ([[rng.randint(-50, 50) for _ in range(4)] for _ in range(2)]
+                      for _ in range(1000))
+        col, plane = _column_over(monkeypatch, tr, candidates)
+        cols.append(col)
+        labels.append([e.label for e in plane.edges])
+    assert labels[0] != labels[1]
+    assert cols[0].profiles == cols[1].profiles
+    assert cols[0].section_dims == cols[1].section_dims
+    zero = rsys.zero_vec(rs)
+    assert cols[0].ranks[zero] == weight_multiplicity(tr.lam, zero, rs) > 1
+
+
+def test_degenerate_projections_are_never_used(monkeypatch):
+    rs = rsys.build("A", 2)
+    tr = Truncation(rs, rs.highest_root)
+    g = build_graph(tr)
+    # Dropping delta makes gamma + delta and gamma - delta equal at the
+    # origin; keeping delta alone sends every label with k = 0 to zero.
+    proportional = [[1, 0, 0], [0, 1, 0]]
+    zero = [[0, 0, 1], [0, 0, 2]]
+    good = [[3, -7, 11], [-5, 2, 13]]
+    assert gkm_violations(g._projected(proportional))
+    assert any(not any(e.label) for e in g._projected(zero).edges)
+    assert not gkm_violations(g._projected(good))
+    col, plane = _column_over(monkeypatch, tr, [zero, proportional, good])
+    assert plane.edges == g._projected(good).edges
+    assert col.profiles == _n_variable_column("A", 2, "theta").profiles
+    with pytest.raises(StopIteration):
+        _column_over(monkeypatch, tr, [zero, proportional])
+
+
+def test_section_dims_lift_is_that_of_a_free_module():
+    # b generators in degree k: b(d - k + 1) over Z[x, y] and
+    # b C(d - k + n - 1, n - 1) over n variables.
+    plane = tuple(2 * (d + 1) + (d - 1 if d >= 2 else 0) for d in range(6))
+    assert stalks._lift_section_dims(plane, 2) == plane
+    assert stalks._lift_section_dims(plane, 4) == tuple(
+        2 * comb(d + 3, 3) + (comb(d + 1, 3) if d >= 2 else 0) for d in range(6)
+    )
+    with pytest.raises(AssertionError, match="free module"):
+        stalks._lift_section_dims((1, 1, 1), 3)
+
+
+def test_column_cache_is_emptied_past_its_ceiling(monkeypatch):
+    # A miss empties a cache that holds more than MAX_CACHED_COLUMNS
+    # columns before its column runs; a hit leaves it as it is.
+    monkeypatch.setattr(stalks, "MAX_CACHED_COLUMNS", 2)
+    monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
+    rs = rsys.build("A", 1)
+    trs = [Truncation(rs, (k, -k)) for k in range(1, 5)]
+    cols = [stalk_ranks(tr) for tr in trs[:3]]
+    assert len(stalks._COLUMN_CACHE) == 3
+    assert stalk_ranks(trs[0]) is cols[0]
+    assert len(stalks._COLUMN_CACHE) == 3
+    col = stalk_ranks(trs[3])
+    assert list(stalks._COLUMN_CACHE.values()) == [col]
+    assert stalk_ranks(trs[0]).profiles == cols[0].profiles
+
+
+def test_reducer_cache_is_emptied_past_its_ceiling(monkeypatch):
+    from gkmfactor import poly
+
+    monkeypatch.setattr(poly, "MAX_REDUCERS", 10)
+    monkeypatch.setattr(poly, "_REDUCERS", {})
+    monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
+    rs = rsys.build("A", 2)
+    sizes = []
+    real = stalks.run_column
+
+    def recording(g, D):
+        sizes.append(len(poly._REDUCERS))
+        result = real(g, D)
+        sizes.append(len(poly._REDUCERS))
+        return result
+
+    monkeypatch.setattr(stalks, "run_column", recording)
+    for lam in [(1, 0, -1), (1, 1, -2), (2, 0, -2), (2, 1, -3)]:
+        stalk_ranks(Truncation(rs, lam))
+    starts, ends = sizes[0::2], sizes[1::2]
+    assert all(s <= 10 for s in starts)  # emptied before a column starts
+    assert all(e >= s for s, e in zip(starts, ends))  # never during one
+    assert any(s < e for e, s in zip(ends, starts[1:]))

@@ -4,10 +4,16 @@
 name, so removing a module or a name it looks up breaks the benchmark.
 ``Tracer.install`` patches module globals, so it runs in a subprocess.
 The A2 adjoint column's work counts pin the engine's current
-elimination work; a change that alters that work updates them.  The
-row and cell counts are those of carrying sections as module
-generators: with full per-degree section bases they were 483 rows
-added and 1815 nullspace cells.  The rows added are those of the
+elimination work; a change that alters that work updates them.
+
+``stalk_ranks`` runs the recursion over a rank-2 subtorus, so the
+counts are those of the two-variable column: 103 rows added, 77
+independent, 20 nullspace calls and 110 nullspace cells.  The same
+column in its own three variables, ``run_column(build_graph(tr), D)``,
+adds 202 rows, 171 of them independent, in 20 nullspace calls over 528
+cells.  Those three-variable counts are those of carrying sections as
+module generators: with full per-degree section bases they were 483
+rows added and 1815 nullspace cells.  The rows added are those of the
 staged S_1 products, where pass ``i`` multiplies by ``x_i`` only the
 rows of stage at least ``i``: multiplying every row of the reduced
 basis of ``M_(d-1)`` by every variable fed 273.  Each extension system
@@ -15,9 +21,9 @@ has one row per pivot slot of ``M_d``: with one per boundary slot that
 any image touches, 221 rows were added and 648 nullspace cells.  The
 polynomial product count pins one multiplication path in
 ``run_column``: boundary values are multiplied slot-wise by a variable,
-and the 3 remaining products are the powers ``LinearFormReducer``
-builds for its own reductions.  With a second, polynomial-product path for the extension
-system it was 129.
+and the 6 remaining products (3 in three variables) are the powers
+``LinearFormReducer`` builds for its own reductions.  With a second,
+polynomial-product path for the extension system it was 129.
 """
 
 import subprocess
@@ -41,11 +47,11 @@ gk.stalk_ranks(gk.Truncation(rs, rs.highest_root))
 counts = {k: v for k, (v, unit) in tracer.snapshot().items() if unit == "count"}
 # Each eliminated row is counted once: the kernel's own nullspace and
 # rank helpers must not go through the traced IntRREF.
-assert counts["kernels.rows_added"] == 202, counts
-assert counts["kernels.rows_independent"] == 171, counts
+assert counts["kernels.rows_added"] == 103, counts
+assert counts["kernels.rows_independent"] == 77, counts
 assert counts["kernels.nullspace_calls"] == 20, counts
-assert counts["kernels.nullspace_cells"] == 528, counts
-assert counts["poly.poly_mul.calls"] == 3, counts
+assert counts["kernels.nullspace_cells"] == 110, counts
+assert counts["poly.poly_mul.calls"] == 6, counts
 assert counts["stalks.run_column.calls"] == 1, counts
 """
 
