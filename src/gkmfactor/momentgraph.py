@@ -190,10 +190,13 @@ def build_graph(tr: Truncation) -> MomentGraph:
 def gkm_violations(g: MomentGraph) -> list:
     """Pairs of proportional labels at a common vertex (empty when GKM
     holds), in the order of their positions around the vertex."""
+    edge_prims = [primitive_form(e.label) for e in g.edges]
     out = []
     for i, v in enumerate(g.vertices):
+        prims = [edge_prims[k] for k in g.adjacency[i]]
+        if len(set(prims)) == len(prims):
+            continue
         labels = [g.edges[k].label for k in g.adjacency[i]]
-        prims = [primitive_form(l) for l in labels]
         group: dict[tuple[int, ...], list[int]] = {}
         for b, p in enumerate(prims):
             group.setdefault(p, []).append(b)

@@ -1,8 +1,7 @@
 """Homogeneous polynomials and their reduction modulo a linear form.
 
 Homogeneous polynomials are sparse dicts mapping an exponent tuple to an
-integer (or Fraction) coefficient.  Degree-d components are coordinatized
-by :func:`monomials`, which fixes a deterministic basis order.
+integer coefficient.
 
 The central tool is :class:`LinearFormReducer`: the image of a
 homogeneous polynomial in the quotient ring S/(L) for a nonzero linear
@@ -13,28 +12,7 @@ kernels and images of these maps.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
-
-
-@lru_cache(maxsize=None)
-def monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples of the given total degree, lex descending."""
-    if num_vars == 0:
-        return ((),) if degree == 0 else ()
-    if num_vars == 1:
-        return ((degree,),)
-    out = []
-    for k in range(degree, -1, -1):
-        for rest in monomials(num_vars - 1, degree - k):
-            out.append((k,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def reduced_monomials(num_vars: int, degree: int, pivot: int) -> tuple[tuple[int, ...], ...]:
-    """Monomials with zero exponent at ``pivot``: a basis of S/(L) in degree d."""
-    return tuple(m for m in monomials(num_vars, degree) if m[pivot] == 0)
 
 
 def poly_mul(p: dict, q: dict) -> dict:

@@ -20,6 +20,34 @@ over the degree's section slots ``(vertex, generator index, monomial)``,
 and its dimension, never a vector-space basis.  Processing a vertex
 solves only the congruences along its upward edges.
 
+Rank-2 subtorus.  :func:`run_column` runs the recursion in two
+variables, not in the ``n = rank + 1`` of the labels.  Every edge label
+``l`` becomes ``P l`` for an integer ``2 x n`` matrix ``P``: the
+characters of a rank-2 subtorus ``T'`` of ``T x C*``, over
+``S = Z[x, y]``.  When no projected label is zero and the projected
+labels at each vertex stay pairwise non-proportional
+(:func:`momentgraph.gkm_violations` of the projected graph is empty),
+``T'`` has the same fixed points and the same invariant curves as
+``T``: a ``T``-orbit of dimension two whose ``T'``-stabilizer grew would
+make two labels proportional at a fixed point in its closure.  So the
+canonical sheaf of the projected graph gives the ``T'``-equivariant
+stalks, with the same graded ranks (Goresky-Kottwitz-MacPherson,
+*Equivariant cohomology, Koszul duality, and the localization theorem*,
+Invent. Math. 1998; Braden-MacPherson 2001).  What it buys: an edge
+quotient ``Z[x, y]/(P l)`` has one monomial per degree, where the
+quotient by ``l`` in ``n`` variables has ``C(d + n - 2, n - 2)``.
+``P`` is a pure function of the graph: none when ``n`` is already two,
+and otherwise the first ``P`` that passes both checks among those drawn
+from ``random.Random(1)``, entries in ``[-50, 50]``, row by row.  No
+``P`` passes for a graph with a zero label or with two proportional
+labels at a vertex, and :func:`run_column` refuses such a graph up
+front.  The result carries the graph as given, with ``section_dims``
+lifted back to its ``n`` variables: the sections over ``Z[x, y]`` are
+read as a free module with ``b_k = h'(k) - 2 h'(k - 1) + h'(k - 2)``
+generators in degree ``k``, and ``h(d) = sum_k b_k C(d - k + n - 1,
+n - 1)``; a negative ``b_k`` raises.  The recursion in the labels' own
+``n`` variables is a test oracle, ``tests/nvar_oracle.py``.
+
 Each vertex step is the fibre product
 ``Gamma(I + {x}) = Gamma(I) x_{M_x} F(x)`` (Braden-MacPherson, *From
 moment graphs to intersection cohomology*, Math. Ann. 2001; Fiebig,
@@ -28,40 +56,50 @@ moment graphs to intersection cohomology*, Math. Ann. 2001; Fiebig,
 module ``M_x`` in degree ``d`` is ``S_1 M_(d-1)`` plus the boundary
 values of the degree-``d`` generators, and only those are projected.
 
-A boundary value has one form: a flat row over the slots of its degree's
-layout, one block per (upward edge, neighbor's generator) on the
-pivot-free monomials of the edge's quotient ring.  Rows map through slot
-tables built on first use (:func:`_apply`): per (layout, variable) into
-the layout one degree up (:func:`_mult_var`), and per (vertex, degree)
-for the projection, which sends a section slot at an upward neighbor to
-its monomial reduced modulo the edge label, any other slot to nothing.
+Boundary slots.  In each degree the quotient of ``Z[x, y]`` by an edge
+label has one basis monomial, the one free of the reducer's pivot
+variable.  So at a vertex a boundary slot is one (upward edge,
+neighbor's generator) pair, numbered once per vertex in that order, and
+it is the same slot in every degree ``d >= t`` that its generator, of
+degree ``t``, reaches.  A boundary value of degree ``d`` is a flat row
+``{slot: coefficient}`` of the slots' degree-``d - t`` monomials.
+Multiplying by ``x`` or by ``y`` scales each slot by one integer of its
+edge, the variable's image in the edge's quotient
+(:meth:`poly.LinearFormReducer.variable_form`), and a slot whose integer
+is zero drops out.  The projection sends section slot ``(y, j, (a, b))``
+at an upward neighbor ``y`` to slot ``(y's edge, j)``, scaled by the one
+coefficient :meth:`poly.LinearFormReducer.reduce_monomial` gives
+``x^a y^b``, and any other section slot to nothing; its images are
+built per (vertex, degree) on first use.  The slots keep the order of
+the ``n``-variable engine's per-degree layouts, so on the projected
+graph every pivot, every system and every kernel is the same as there.
 
 Each vertex takes one pass over the degrees.  In degree ``d`` the
 generator search eliminates staged ``S_1`` products of the rows kept in
 degree ``d - 1``, followed by the projected degree-``d`` section
-generators.  Every kept row carries a stage: a row that became
-independent in pass ``i`` has stage ``i``, and the row of a new
-generator has stage ``n - 1``.  Degree ``d`` runs passes
-``i = n - 1, ..., 0``, and pass ``i`` feeds ``x_i b`` only for the kept
-rows ``b`` of stage at least ``i``.  The row kept is the residual as
-inserted, the pivot row read right after the insert.  This still spans
-``S_1 M_(d-1)``.  Let ``V_s`` be the span of the passes ``>= s`` of a
-degree and ``W_s = G + V_s``, with ``G`` the span of the generator
-rows; the kept rows of stage ``>= s`` span ``W_s``, since a residual
-from pass ``i`` lies in ``V_i`` (everything inserted before it came
-from a pass ``>= i``).  Induction on the degree gives
-``x_l W_s`` in ``V_s`` one degree up for every ``l >= s``: write an
-element of ``x_l V_s`` as a sum of ``x_l x_j u`` with ``j >= s`` and
-``u`` in ``W_j``; if ``l >= j`` it is ``x_j (x_l u)`` with ``x_l u`` in
-``V_j``, inside ``W_j``, and if ``l < j`` it is ``x_l (x_j u)`` with
-``x_j u`` in ``V_j``, inside ``W_l``.  So ``S_1 M_d`` is the sum of the
-``x_i W_i``, as ``M_d = W_0``.  The products of a degree number
-little more than ``dim S_1 M_(d-1)``, not ``n dim M_(d-1)``, and most
-of them are independent.  A residual as inserted is primitive, positive
-at its pivot and zero at the pivot column of every row kept before it,
-and such a residual is unique up to scale: a nonzero element of the
-span is nonzero at the smallest pivot it involves.  So a generator's
-pivot row depends only on the span of the rows inserted before it,
+generators.  Write ``x_0 = x`` and ``x_1 = y``.  Every kept row carries
+a stage: a row that became independent in pass ``i`` has stage ``i``,
+and the row of a new generator has stage 1.  Degree ``d`` runs pass
+``i = 1``, then pass ``i = 0``, and pass ``i`` feeds ``x_i b`` only for
+the kept rows ``b`` of stage at least ``i``.  The row kept is the
+residual as inserted, the pivot row read right after the insert.  This
+still spans ``S_1 M_(d-1)``.  Let ``V_s`` be the span of the passes
+``>= s`` of a degree and ``W_s = G + V_s``, with ``G`` the span of the
+generator rows; the kept rows of stage ``>= s`` span ``W_s``, since a
+residual from pass ``i`` lies in ``V_i`` (everything inserted before it
+came from a pass ``>= i``).  Induction on the degree gives ``x_l W_s``
+in ``V_s`` one degree up for every ``l >= s``: write an element of
+``x_l V_s`` as a sum of ``x_l x_j u`` with ``j >= s`` and ``u`` in
+``W_j``; if ``l >= j`` it is ``x_j (x_l u)`` with ``x_l u`` in ``V_j``,
+inside ``W_j``, and if ``l < j`` it is ``x_l (x_j u)`` with ``x_j u`` in
+``V_j``, inside ``W_l``.  So ``S_1 M_d`` is ``x_0 W_0 + x_1 W_1``, as
+``M_d = W_0``.  The products of a degree number little more than
+``dim S_1 M_(d-1)``, not ``2 dim M_(d-1)``, and most of them are
+independent.  A residual as inserted is primitive, positive at its
+pivot and zero at the pivot column of every row kept before it, and
+such a residual is unique up to scale: a nonzero element of the span is
+nonzero at the smallest pivot it involves.  So a generator's pivot row
+depends only on the span of the rows inserted before it,
 ``S_1 M_(d-1)`` plus the earlier generators with either products, and
 not on the basis :class:`kernels.IntRREF` keeps for that span (a
 semi-echelon one, never back-substituted); the generators' pivot rows
@@ -72,27 +110,29 @@ the slots of the new stalk ``F(x)``, followed by the projected
 degree-``d`` generators.  Its equations are the boundary slots that
 are pivots of the generator search: every column lies in ``M_d``, and
 an element of ``M_d`` that is zero at each of those slots is zero, so
-the kernel is that of the system over every boundary slot.  The image
-of ``x`` slot ``(gi, exp)`` is the generator's pivot row when ``exp`` is
-zero, and otherwise the variable of ``exp``'s first nonzero exponent
-times the image of the slot one degree lower.  The kept rows, not those
-images, feed the generator search, because unreduced image rows fill
-in.  Because ``F(x) -> M_x`` is onto, every independent column is an
-``x`` slot, so each kernel vector is either one old generator, scaled by a
-positive integer and extended by a component at ``x``, or an element of ``ker(F(x) -> M_x)`` supported at
-``x`` alone.  The extended generators and ``ker phi`` together generate
-the new sections.  Of the ``ker phi`` vectors only those whose leading
-slot is not a variable times the leading slot of one in the degree below
-are kept; this is a Groebner-type pruning.  The leading slot of a kernel
-vector is its free column, its largest, and the x-slot order (generator
-index, then monomials lex descending) is compatible with multiplying by
-a monomial, so the kept vectors still generate ``ker phi``.  Since both
-maps onto ``M_x`` are onto, ``dim Gamma_d`` grows by
-``dim F(x)_d - dim M_d``.  The ``x`` slots are then appended to the
-degree's section slots, so kernel column ``col < nx`` is section slot
-``base + col``.  Old generators are never mutated: one with no ``x``
-part is shared, and an extended one is a copy, rescaled for a
-coefficient other than one.
+the kernel is that of the system over every boundary slot.  An ``x``
+slot ``(gi, a)`` is the monomial ``x^a y^(d - t - a)`` of generator
+``gi``, of degree ``t``.  Its image is the generator's pivot row when
+``d = t``, ``x`` times the image of ``(gi, a - 1)`` one degree lower
+when ``a > 0``, and otherwise ``y`` times the image of ``(gi, 0)`` one
+degree lower.  The kept rows, not those images, feed the generator
+search, because unreduced image rows fill in.  Because ``F(x) -> M_x``
+is onto, every independent column is an ``x`` slot, so each kernel
+vector is either one old generator, scaled by a positive integer and
+extended by a component at ``x``, or an element of
+``ker(F(x) -> M_x)`` supported at ``x`` alone.  The extended
+generators and ``ker phi`` together generate the new sections.  Of the
+``ker phi`` vectors only those whose leading slot is not ``x`` or ``y``
+times the leading slot of one in the degree below are kept; this is a
+Groebner-type pruning.  The leading slot of a kernel vector is its free
+column, its largest, and the x-slot order (generator index, then ``a``
+descending) is compatible with multiplying by a monomial, so the kept
+vectors still generate ``ker phi``.  Since both maps onto ``M_x`` are
+onto, ``dim Gamma_d`` grows by ``dim F(x)_d - dim M_d``.  The ``x``
+slots are then appended to the degree's section slots, so kernel
+column ``col < nx`` is section slot ``base + col``.  Old generators are
+never mutated: one with no ``x`` part is shared, and an extended one is
+a copy, rescaled for a coefficient other than one.
 
 Degree bound.  Generator degrees of a stalk are bounded by half the
 complex dimension of the truncation: intersection cohomology stalks at
@@ -104,45 +144,19 @@ whose generator profile touches the last two degrees is still rejected
 with :class:`DegreeBoundError`, so every reported rank is
 stability-checked; at the default bound that error means a broken
 invariant, not a bound to raise.
-
-Rank-2 subtorus.  :func:`stalk_ranks` runs the recursion in two
-variables, not in the ``n = rank + 1`` of the labels.  Every edge label
-``l`` becomes ``P l`` for an integer ``2 x n`` matrix ``P``: the
-characters of a rank-2 subtorus ``T'`` of ``T x C*``, over
-``S' = Z[x, y]``.  When no projected label is zero and the projected
-labels at each vertex stay pairwise non-proportional
-(:func:`momentgraph.gkm_violations` of the projected graph is empty),
-``T'`` has the same fixed points and the same invariant curves as
-``T``: a ``T``-orbit of dimension two whose ``T'``-stabilizer grew would
-make two labels proportional at a fixed point in its closure.  So the
-canonical sheaf of the projected graph gives the ``T'``-equivariant
-stalks, with the same graded ranks (Goresky-Kottwitz-MacPherson,
-*Equivariant cohomology, Koszul duality, and the localization theorem*,
-Invent. Math. 1998; Braden-MacPherson 2001).  What it buys: an edge
-quotient ``S'/(P l)`` has one monomial per degree, where ``S/(l)`` has
-``C(d + n - 2, n - 2)``.  ``P`` is a pure function of the graph: none
-when ``n`` is already two, and otherwise the first ``P`` that passes
-both checks among those drawn from ``random.Random(1)``, entries in
-``[-50, 50]``, row by row.  ``section_dims`` is lifted back to ``S``:
-the sections over ``S'`` are read as a free module with
-``b_k = h'(k) - 2 h'(k - 1) + h'(k - 2)`` generators in degree ``k``,
-and ``h(d) = sum_k b_k C(d - k + n - 1, n - 1)``; a negative ``b_k``
-raises.  :func:`run_column` works in its graph's variables, so
-``run_column(build_graph(tr), D)`` is still the ``n``-variable route,
-the one the tests compare against.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
 from . import kernels, poly
 from . import rootsystem as rsys
 from .momentgraph import MomentGraph, Truncation, build_graph, gkm_violations
-from .poly import monomials, reduced_monomials, reducer_for
+from .poly import reducer_for
 from .rootsystem import Vec
 
 
@@ -152,27 +166,6 @@ class DegreeBoundError(ValueError):
 
 class RecursionOrderError(ValueError):
     """A vertex was reached with no processed neighbor above it."""
-
-
-class _Layout:
-    """Contiguous slot blocks of one degree, one per (key, generator) pair.
-
-    ``lookup[(key, gen)]`` is a block's slot index ``{monomial: slot}``;
-    ``info[slot]`` is ``(key, gen, monomial)``.  ``products[var]`` is
-    the slot table (see :func:`_apply`) of the variable ``var`` into the
-    layout one degree up, which :func:`_mult_var` fills in on first use.
-    """
-
-    __slots__ = ("lookup", "info", "products")
-
-    def __init__(self):
-        self.lookup = {}
-        self.info = []
-        self.products = {}
-
-    def add_block(self, key, gen_idx, monos):
-        self.lookup[(key, gen_idx)] = {m: len(self.info) + i for i, m in enumerate(monos)}
-        self.info.extend((key, gen_idx, m) for m in monos)
 
 
 @dataclass(frozen=True)
@@ -205,8 +198,9 @@ def estimated_cells(tr: Truncation, cap: int) -> tuple[int, int, bool]:
     most 241), so a huge vertex set is never enumerated; the count is then
     a lower bound above ``cap``."""
     D = default_degree_bound(tr)
-    # The n-variable engine's count, which over-estimates the cost of the
-    # two-variable recursion stalk_ranks runs (see the module docstring).
+    # The count of the n-variable engine, which over-estimates the cost
+    # of the two-variable recursion run_column runs (see the module
+    # docstring).
     n = tr.rs.rank + 1
     per_vertex = comb(D + n - 1, n - 1)
     count = 0
@@ -216,16 +210,32 @@ def estimated_cells(tr: Truncation, cap: int) -> tuple[int, int, bool]:
     return count * per_vertex, D, True
 
 
-def _apply(row, table, image):
-    """``sum(c * table[slot])`` over a row's ``{slot: c}`` entries.  A slot
-    table entry is a tuple of ``(target slot, coefficient)`` pairs; one
-    still ``None`` is set to ``image(slot)`` first, and kept for reuse."""
+def _scaled(row, scale):
+    """A boundary row times ``x`` or ``y``: each slot times its edge's
+    integer ``scale[slot]`` (see the module docstring)."""
+    return {s: c * scale[s] for s, c in row.items() if scale[s]}
+
+
+def _boundary_value(row, table, slots, first):
+    """A section row's boundary value: ``sum(c * image(slot))``, where the
+    image of section slot ``(y, j, (a, b))`` is the boundary slot
+    ``first[y][1] + j`` times the reduced coefficient of ``x^a y^b``,
+    or nothing when ``y`` has no entry in ``first``.  ``table`` keeps
+    each image once built, ``()`` for nothing."""
     out: dict = {}
     for slot, c in row.items():
-        targets = table[slot]
-        if targets is None:
-            targets = table[slot] = image(slot)
-        for ns, cv in targets:
+        target = table[slot]
+        if target is None:
+            y, j, mono = slots[slot]
+            edge = first.get(y)
+            target = ()
+            if edge is not None:
+                reducer, offset = edge
+                for cv in reducer.reduce_monomial(mono).values():
+                    target = (offset + j, cv)
+            table[slot] = target
+        if target:
+            ns, cv = target
             w = out.get(ns, 0) + c * cv
             if w:
                 out[ns] = w
@@ -234,52 +244,18 @@ def _apply(row, table, image):
     return out
 
 
-def _projection(slots, ydict, reducers, layout):
-    """Image of a section slot ``(y, gen, monomial)`` in a boundary layout:
-    the monomial reduced modulo the label of the edge to ``y``, in block
-    ``(pos, gen)``, or nothing when ``y`` is not an upward neighbor."""
-
-    def image(slot):
-        y, j, mono = slots[slot]
-        pos = ydict.get(y)
-        if pos is None:
-            return ()
-        index = layout.lookup[(pos, j)]
-        return tuple(
-            (index[m], c) for m, c in reducers[pos].reduce_monomial(mono).items()
-        )
-
-    return image
-
-
-def _mult_var(row, var, prev_layout, cur_layout, reducers):
-    """Multiply a boundary row by a polynomial variable, component-wise
-    in each edge's quotient ring, through ``prev_layout``'s slot table
-    into ``cur_layout``, the layout one degree up at the same vertex."""
-
-    def image(slot):
-        pos, j, exp = prev_layout.info[slot]
-        index = cur_layout.lookup[(pos, j)]
-        return tuple(
-            (index[tuple(a + b for a, b in zip(exp, ev))], cv)
-            for ev, cv in reducers[pos].variable_form(var).items()
-        )
-
-    table = prev_layout.products.get(var)
-    if table is None:
-        table = prev_layout.products[var] = [None] * len(prev_layout.info)
-    return _apply(row, table, image)
-
-
 def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
-    """One full top-down pass over a truncation's moment graph.
+    """One full top-down pass over a truncation's moment graph, over a
+    generic rank-2 subtorus (see the module docstring).
 
-    Raises :class:`DegreeBoundError` when some vertex has a minimal
-    generator in the last two degrees (profile not yet stable), and
+    Returns ``g`` itself and ``section_dims`` over its variables.  Raises
+    :class:`ValueError` up front for a bad extension or a graph with a
+    zero label or two proportional labels at a vertex,
+    :class:`DegreeBoundError` when some vertex has a minimal generator
+    in the last two degrees (profile not yet stable), and
     :class:`RecursionOrderError` if the supplied extension strands a
     vertex with no processed upper neighbor.
     """
-    n = g.num_vars
     order = list(extension) if extension is not None else g.linear_extension()
     if sorted(order) != sorted(g.vertices):
         raise ValueError("extension must enumerate the graph's vertices")
@@ -288,65 +264,79 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     levels = [g.level(v) for v in order]
     if any(a > b for a, b in zip(levels, levels[1:])):
         raise ValueError("extension must not invert the graph order's levels")
+    for e in g.edges:
+        if not any(e.label):
+            raise ValueError(
+                f"edge {g.vertices[e.u]} -- {g.vertices[e.v]} has a zero label"
+            )
+    bad = gkm_violations(g)
+    if bad:
+        v, a, b = bad[0]
+        raise ValueError(f"proportional labels {a} and {b} at vertex {v}")
+    plane = _plane_graph(g)
 
     # Sections over the processed upper set, as an S-module: gens[d] holds
     # the degree-d generators, flat rows {slot: int} over the section slots
-    # slots[d] = [(vertex, generator index, monomial)], and dims[d] is
+    # slots[d] = [(vertex, generator index, (a, b))], and dims[d] is
     # dim Gamma_d.  A vertex is processed once it has a profile.
     slots: list[list[tuple]] = [[] for _ in range(D + 1)]
     gens: list[list[dict]] = [[] for _ in range(D + 1)]
-    slots[0].append((order[-1], 0, (0,) * n))
+    slots[0].append((order[-1], 0, (0, 0)))
     gens[0].append({0: 1})
-    dims = [len(monomials(n, d)) for d in range(D + 1)]
+    dims = [d + 1 for d in range(D + 1)]
+    # The exponents (a, m - a) of each degree m, one tuple each, which
+    # every section slot of that degree shares.
+    exps = [[(a, m - a) for a in range(m + 1)] for m in range(D + 1)]
     profiles: dict[Vec, tuple[int, ...]] = {order[-1]: (0,)}
     section_dims: tuple[int, ...] = ()
 
     for x in reversed(order[:-1]):
-        xi = g.vindex[x]
-        upedges = []
-        for k in sorted(g.adjacency[xi]):
-            e = g.edges[k]
-            other = g.vertices[e.v if e.u == xi else e.u]
-            if other in profiles:
-                upedges.append((k, e, other))
-        if not upedges:
+        xi = plane.vindex[x]
+        # The boundary slots (see the module docstring): first[y] is the
+        # upward neighbor's reducer and the slot of its generator 0, and
+        # scales[i][slot] the integer x_i multiplies the slot by: the one
+        # coefficient of the variable's image, or zero for no image.
+        first: dict = {}
+        scales: tuple[list[int], list[int]] = ([], [])
+        for k in sorted(plane.adjacency[xi]):
+            e = plane.edges[k]
+            y = plane.vertices[e.v if e.u == xi else e.u]
+            if y in profiles:
+                reducer = reducer_for(e.label, 2)
+                first[y] = (reducer, len(scales[0]))
+                for i, scale in enumerate(scales):
+                    factor = sum(reducer.variable_form(i).values())
+                    scale.extend([factor] * len(profiles[y]))
+        if not first:
             raise RecursionOrderError(
                 f"vertex {x} has no processed neighbor above it; "
                 "the recursion order is violated"
             )
-        reducers = [reducer_for(e.label, n) for _, e, _ in upedges]
-        ydict = {y: pos for pos, (_, _, y) in enumerate(upedges)}
+        xs, ys = scales
 
-        # One pass over the degrees: in degree d the boundary layout, the
-        # boundary values of the degree-d section generators, the minimal
-        # generators of M_d and, except at the final vertex, the kernel.
+        # One pass over the degrees: in degree d the boundary values of
+        # the degree-d section generators, the minimal generators of M_d
+        # and, except at the final vertex, the kernel.
         final = x == order[0]
         gen_degrees: list[int] = []
         gen_rows: list[dict] = []
-        layout = None
         prev_staged: list[tuple[int, dict]] = []
         prev_images: dict = {}
         prev_free: set = set()
         for d in range(D + 1):
-            below, layout = layout, _Layout()
-            for pos, (_, _, y) in enumerate(upedges):
-                pivot = reducers[pos].pivot
-                for j, t in enumerate(profiles[y]):
-                    if d >= t:
-                        layout.add_block(pos, j, reduced_monomials(n, d - t, pivot))
-            project = _projection(slots[d], ydict, reducers, layout)
             table = [None] * len(slots[d])
-            span = [_apply(vec, table, project) for vec in gens[d]]
+            span = [_boundary_value(vec, table, slots[d], first) for vec in gens[d]]
 
-            # Staged S_1 products (see the module docstring): pass i
-            # multiplies by x_i the rows of degree d - 1 with stage >= i,
-            # and a row kept for degree d + 1 is its residual as inserted.
+            # Staged S_1 products (see the module docstring): pass 1
+            # multiplies by y the rows of degree d - 1 with stage 1, then
+            # pass 0 every row by x, and a row kept for degree d + 1 is
+            # its residual as inserted.
             rr = kernels.IntRREF()
             staged: list[tuple[int, dict]] = []
-            for i in range(n - 1, -1, -1):
+            for i, scale in ((1, ys), (0, xs)):
                 for stage, b in prev_staged:
                     if stage >= i:
-                        col = rr.add(_mult_var(b, i, below, layout, reducers))
+                        col = rr.add(_scaled(b, scale))
                         if col is not None:
                             staged.append((i, rr.pivot_row(col)))
             for s in span:
@@ -354,24 +344,21 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                 if col is not None:
                     gen_degrees.append(d)
                     gen_rows.append(rr.pivot_row(col))
-                    staged.append((n - 1, gen_rows[-1]))
+                    staged.append((1, gen_rows[-1]))
             prev_staged = staged
             if final:
                 continue
 
             # The x-slot images (see the module docstring), in x-slot
-            # order: generator index, then monomials.
+            # order: generator index, then the exponent a of x from
+            # d - t down to 0.
             images: dict = {}
             for gi, t in enumerate(gen_degrees):
-                if t == d:
-                    images[(gi, (0,) * n)] = gen_rows[gi]
-                    continue
-                for exp in monomials(n, d - t):
-                    i = next(k for k, a in enumerate(exp) if a)
-                    low = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
-                    images[(gi, exp)] = _mult_var(
-                        prev_images[(gi, low)], i, below, layout, reducers
-                    )
+                for a in range(d - t, 0, -1):
+                    images[(gi, a)] = _scaled(prev_images[(gi, a - 1)], xs)
+                images[(gi, 0)] = (
+                    gen_rows[gi] if t == d else _scaled(prev_images[(gi, 0)], ys)
+                )
             prev_images = images
 
             # The fibre product's kernel in degree d.  The x slots come
@@ -412,14 +399,13 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         )
                 if old is None:
                     # An element of ker phi led by its free column, the
-                    # largest; skip it if a variable times a lower one
-                    # has the same leading slot (see the module docstring).
-                    gi, exp = xslots[max(kvec)]
-                    free.add((gi, exp))
-                    if not any(
-                        (gi, exp[:i] + (exp[i] - 1,) + exp[i + 1:]) in prev_free
-                        for i in range(n)
-                        if exp[i]
+                    # largest; skip it if x or y times a lower one has
+                    # the same leading slot (see the module docstring).
+                    gi, a = xslots[max(kvec)]
+                    free.add((gi, a))
+                    if not (
+                        (a and (gi, a - 1) in prev_free)
+                        or (a < d - gen_degrees[gi] and (gi, a) in prev_free)
                     ):
                         new_gens.append(xpart)
                     continue
@@ -428,7 +414,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                     old.update(xpart)
                 new_gens.append(old)
             gens[d] = new_gens
-            slots[d].extend((x, gi, exp) for gi, exp in xslots)
+            slots[d].extend((x, gi, exps[d - gen_degrees[gi]][a]) for gi, a in xslots)
             prev_free = free
             dims[d] += nx - rr.rank
         profiles[x] = tuple(gen_degrees)
@@ -453,7 +439,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         order=tuple(order),
         ranks=MappingProxyType({v: len(prof) for v, prof in profiles.items()}),
         profiles=MappingProxyType(profiles),
-        section_dims=section_dims,
+        section_dims=_lift_section_dims(section_dims, g.num_vars),
     )
 
 
@@ -514,11 +500,7 @@ def stalk_ranks(tr: Truncation) -> ColumnResult:
             _COLUMN_CACHE.clear()
         if len(poly._REDUCERS) > poly.MAX_REDUCERS:
             poly._REDUCERS.clear()
-        g = build_graph(tr)
-        plane = run_column(_plane_graph(g), default_degree_bound(tr))
-        result = _COLUMN_CACHE[key] = replace(
-            plane, graph=g, section_dims=_lift_section_dims(plane.section_dims, g.num_vars)
-        )
+        result = _COLUMN_CACHE[key] = run_column(build_graph(tr), default_degree_bound(tr))
     return result
 
 

@@ -6,7 +6,8 @@ vector-space basis.  ``stalks.run_column`` instead carries module
 generators one vertex at a time, keeps only the ``ker phi`` vectors
 that the leading-slot pruning does not discard, and counts
 ``dim Gamma_d`` as the running sum of ``dim F(x)_d - dim M_d``; this
-module shares only the slot layout and the elimination kernel with it.
+module shares only the elimination kernel with it, and takes its slot
+layout from the n-variable oracle (``nvar_oracle._Layout``).
 It covers the hand-checkable case of free stalks with coordinate-wise
 restriction along every edge, such as the all-smooth columns whose
 stalks are all free of rank one.
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 from gkmfactor import kernels
 from gkmfactor.momentgraph import MomentGraph
-from gkmfactor.poly import monomials, reduced_monomials, reducer_for
+from gkmfactor.poly import reducer_for
 from gkmfactor.rootsystem import Vec
-from gkmfactor.stalks import _Layout
+from nvar_oracle import _Layout, monomials, reduced_monomials
 
 
 def reduce_poly(red, p: dict) -> dict:

@@ -20,7 +20,7 @@ from gkmfactor.efficiency import eta_bound
 from gkmfactor.momentgraph import Truncation, build_graph, gkm_violations
 from gkmfactor.stalks import multiplicity_matrix, run_column, stalk_ranks
 from gkmfactor.transition import transition_bundle, verify_bundle
-from gkmfactor.weights import tensor_weight_dim, weight_multiplicity
+from gkmfactor.weights import freudenthal_weight_table, tensor_weight_dim, weight_multiplicity
 
 
 def test_criterion_1_sl3_pipeline():
@@ -67,6 +67,18 @@ def test_criterion_2_stretch_e6_adjoint_stalk():
     column = stalk_ranks(Truncation(rs, rs.highest_root))
     assert column.ranks[rsys.zero_vec(rs)] == 6
     assert column.profiles[rsys.zero_vec(rs)] == (0, 3, 4, 6, 7, 10)
+
+
+def test_criterion_2_e7_adjoint_stalk_ranks():
+    # 127 vertices at degree bound 18: about 5 s.  The origin's
+    # generators sit in the exponents of E7 minus one, and every rank is
+    # the multiplicity of its weight, from Freudenthal's formula, as the
+    # Kostant sum refuses W(E7).
+    rs = rsys.build("E", 7)
+    theta = rs.highest_root
+    column = stalk_ranks(Truncation(rs, theta))
+    assert column.profiles[rsys.zero_vec(rs)] == (0, 4, 6, 8, 10, 12, 16)
+    assert dict(column.ranks) == freudenthal_weight_table(theta, rs)
 
 
 @pytest.mark.expensive

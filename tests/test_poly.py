@@ -7,13 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gkmfactor import kernels
-from gkmfactor.poly import (
-    LinearFormReducer,
-    monomials,
-    poly_mul,
-    reduced_monomials,
-    reducer_for,
-)
+from gkmfactor.poly import LinearFormReducer, poly_mul, reducer_for
+from nvar_oracle import monomials, reduced_monomials
 from sections_oracle import reduce_poly
 
 

@@ -8,6 +8,7 @@ not just at the worked values.
 
 import functools
 import hashlib
+import json
 import random
 from dataclasses import FrozenInstanceError
 from math import comb
@@ -16,8 +17,13 @@ import pytest
 
 from gkmfactor import kernels, stalks
 from gkmfactor import rootsystem as rsys
-from gkmfactor.momentgraph import Truncation, build_graph, gkm_violations
-from gkmfactor.poly import monomials
+from gkmfactor.momentgraph import (
+    Truncation,
+    build_graph,
+    export_graph,
+    gkm_violations,
+    import_graph,
+)
 from gkmfactor.stalks import (
     DegreeBoundError,
     default_degree_bound,
@@ -27,6 +33,7 @@ from gkmfactor.stalks import (
     stalk_ranks,
 )
 from gkmfactor.weights import weight_multiplicity
+import nvar_oracle
 from sections_oracle import free_stalk_assignment, section_space
 
 
@@ -409,11 +416,12 @@ def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
     # a degree with at least two old generators, the last two columns.
     rs, g = adjoint_graph("A", 2)
     col = stalk_ranks(Truncation(rs, rs.highest_root))
-    D, n = col.degree_bound, g.num_vars
+    D = col.degree_bound
     # x-slot count of each extension solve in call order: every vertex
-    # but the top and the last one processed, degrees 0..D.
+    # but the top and the last one processed, degrees 0..D, with d - t + 1
+    # monomials of x and y per generator of degree t.
     nxs = [
-        sum(len(monomials(n, d - t)) for t in col.profiles[x] if d >= t)
+        sum(d - t + 1 for t in col.profiles[x] if d >= t)
         for x in reversed(col.order[1:-1])
         for d in range(D + 1)
     ]
@@ -432,7 +440,8 @@ def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
     assert len(old_columns) > 1 and old_columns[-1] >= 2
 
 
-# sha256 over every extension system of a column: each ``(rows, ncols)``
+# sha256 over every extension system of a column in the truncation's own
+# variables, run on the n-variable oracle: each ``(rows, ncols)``
 # handed to ``kernels.nullspace_of_rows`` and each kernel vector it
 # returns, in call order, with a system's rows and every row's entries
 # sorted.  Any change to a generator's pivot row or to an x slot's image
@@ -475,11 +484,14 @@ KERNEL_DIGESTS = {
 }
 
 
-@functools.cache
-def _column_digests(t, l, name):
-    """(extension digest, kernel digest) of one column's extension systems."""
+def _truncation(t, l, name):
     rs = rsys.build(t, l)
-    tr = Truncation(rs, _coweight(rs, name))
+    return Truncation(rs, _coweight(rs, name))
+
+
+def _digests(run):
+    """(extension digest, kernel digest) of the extension systems that
+    ``run()`` hands to ``kernels.nullspace_of_rows``."""
     real = kernels.nullspace_of_rows
     systems, kernel_vectors = hashlib.sha256(), hashlib.sha256()
 
@@ -496,10 +508,18 @@ def _column_digests(t, l, name):
 
     kernels.nullspace_of_rows = digest
     try:
-        run_column(build_graph(tr), default_degree_bound(tr))
+        run()
     finally:
         kernels.nullspace_of_rows = real
     return systems.hexdigest(), kernel_vectors.hexdigest()
+
+
+@functools.cache
+def _column_digests(t, l, name):
+    """Digests of one column's extension systems in the truncation's own
+    variables, on the n-variable oracle."""
+    tr = _truncation(t, l, name)
+    return _digests(lambda: nvar_oracle.run_column(build_graph(tr), default_degree_bound(tr)))
 
 
 @pytest.mark.parametrize("t,l,name", sorted(EXTENSION_DIGESTS), ids=lambda x: str(x))
@@ -512,17 +532,53 @@ def test_extension_kernels_digest(t, l, name):
     assert _column_digests(t, l, name)[1] == KERNEL_DIGESTS[(t, l, name)]
 
 
+# The extension digest of ``EXTENSION_DIGESTS`` over the two-variable
+# systems: the five columns above and the benchmark's six adjoint-columns
+# truncations.  Recorded from the n-variable engine on the projected
+# graph, ``run_column(stalks._plane_graph(build_graph(tr)), D)``, before
+# the engine was specialized to two variables, so the two-variable
+# engine must build and solve the very systems the n-variable one
+# builds over the same subtorus; the oracle is held to them too.
+PLANE_DIGESTS = {
+    ("A", 2, "theta"):
+        "11c431f6e6c93ff36b77cf3cb10f81b7b779cf75eb0c9a226c91da78e6c4149d",
+    ("A", 2, "2theta"):
+        "279d254571c434a5e3c0f16706444de69b07602e5ebdd96dc10c3b76cbefe01e",
+    ("A", 3, "theta"):
+        "957e6c57d95535da770e3db673e53fa0da44bb728dbad4caa2cb39726723a700",
+    ("A", 3, "2omega1"):
+        "8d13e7c73a2aad761221039408c2956203c2484fd00db919079a2a01c3886f6f",
+    ("A", 4, "2omega1"):
+        "2e72a35e491b94a50578634a5af1a9d75bbb3fba58f83d3772b99a66a3b772c1",
+    ("A", 4, "theta"):
+        "da1871b855ef069844ea723d76ae87d82d70c1b53daa0c9c89259d2f6e405402",
+    ("A", 4, "omega2"):
+        "e92ddd3440bc1e6b0cb78f9d63e305ce7bf62a6a64fb5d7f2ab6f21b31f3a33c",
+}
+
+
+@pytest.mark.parametrize("route", ["engine", "oracle"])
+@pytest.mark.parametrize("t,l,name", sorted(PLANE_DIGESTS), ids=lambda x: str(x))
+def test_plane_systems_digest(t, l, name, route):
+    tr = _truncation(t, l, name)
+    g, D = build_graph(tr), default_degree_bound(tr)
+    if route == "engine":
+        systems, _ = _digests(lambda: run_column(g, D))
+    else:
+        systems, _ = _digests(lambda: nvar_oracle.run_column(stalks._plane_graph(g), D))
+    assert systems == PLANE_DIGESTS[(t, l, name)]
+
+
 # The rank-2 subtorus (see the stalks module docstring) against the
-# n-variable route, run_column on the truncation's own graph: every
-# column above, plus D4 theta.
+# n-variable oracle on the truncation's own graph: every column above,
+# plus D4 theta.
 SUBTORUS_COLUMNS = sorted({*GOLDEN_COLUMNS, *EXTENSION_DIGESTS, ("D", 4, "theta")})
 
 
 @functools.cache
 def _n_variable_column(t, l, name):
-    rs = rsys.build(t, l)
-    tr = Truncation(rs, _coweight(rs, name))
-    return run_column(build_graph(tr), default_degree_bound(tr))
+    tr = _truncation(t, l, name)
+    return nvar_oracle.run_column(build_graph(tr), default_degree_bound(tr))
 
 
 @pytest.mark.parametrize("t,l,name", SUBTORUS_COLUMNS, ids=lambda x: str(x))
@@ -557,13 +613,13 @@ def test_subtorus_profiles_pass_the_q_certificate(t, l, scale):
 def _column_over(monkeypatch, tr, projections):
     """A cold stalk_ranks column whose candidate projections are
     ``projections``; returns the column and the plane graph it ran on."""
-    ran = []
-    real = stalks.run_column
+    planes = []
+    real = stalks._plane_graph
     monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
     monkeypatch.setattr(stalks, "_projections", lambda n: iter(projections))
-    monkeypatch.setattr(stalks, "run_column", lambda g, D: ran.append(g) or real(g, D))
+    monkeypatch.setattr(stalks, "_plane_graph", lambda g: planes.append(real(g)) or planes[-1])
     col = stalk_ranks(tr)
-    (plane,) = ran
+    (plane,) = planes
     assert plane.num_vars == 2
     return col, plane
 
@@ -603,6 +659,45 @@ def test_degenerate_projections_are_never_used(monkeypatch):
     assert col.profiles == _n_variable_column("A", 2, "theta").profiles
     with pytest.raises(StopIteration):
         _column_over(monkeypatch, tr, [zero, proportional])
+
+
+def _tampered_a2_graph(edit):
+    """The A2 adjoint graph through its JSON export, with ``edit``
+    applied to the exported edge list before the import."""
+    rs = rsys.build("A", 2)
+    payload = json.loads(export_graph(build_graph(Truncation(rs, rs.highest_root)), "json"))
+    edit(payload["edges"])
+    return import_graph(json.dumps(payload))
+
+
+def _zero_label(edges):
+    edges[0]["label"] = [0, 0, 0]
+
+
+def _proportional_labels(edges):
+    # A second edge at the first edge's lower end gets twice its label.
+    u = edges[0]["u"]
+    other = next(e for e in edges[1:] if u in (e["u"], e["v"]))
+    other["label"] = [2 * c for c in edges[0]["label"]]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [(_zero_label, "zero label"), (_proportional_labels, "proportional labels")],
+    ids=["zero", "proportional"],
+)
+def test_graph_no_projection_can_fix_is_refused_up_front(monkeypatch, edit, message):
+    # No projection separates these labels, so the search for one would
+    # never end; run_column must refuse before projecting or eliminating.
+    g = _tampered_a2_graph(edit)
+
+    def untouchable(*args):
+        raise AssertionError("reached past the label check")
+
+    monkeypatch.setattr(stalks, "_projections", untouchable)
+    monkeypatch.setattr(kernels, "IntRREF", untouchable)
+    with pytest.raises(ValueError, match=message):
+        run_column(g, 3)
 
 
 def test_section_dims_lift_is_that_of_a_free_module():

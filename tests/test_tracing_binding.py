@@ -6,24 +6,29 @@ name, so removing a module or a name it looks up breaks the benchmark.
 The A2 adjoint column's work counts pin the engine's current
 elimination work; a change that alters that work updates them.
 
-``stalk_ranks`` runs the recursion over a rank-2 subtorus, so the
-counts are those of the two-variable column: 103 rows added, 77
-independent, 20 nullspace calls and 110 nullspace cells.  The same
-column in its own three variables, ``run_column(build_graph(tr), D)``,
-adds 202 rows, 171 of them independent, in 20 nullspace calls over 528
-cells.  Those three-variable counts are those of carrying sections as
-module generators: with full per-degree section bases they were 483
-rows added and 1815 nullspace cells.  The rows added are those of the
-staged S_1 products, where pass ``i`` multiplies by ``x_i`` only the
-rows of stage at least ``i``: multiplying every row of the reduced
+``stalk_ranks`` makes one ``run_column`` call, which runs the recursion
+over a rank-2 subtorus: 103 rows added, 77 independent, 20 nullspace
+calls and 110 nullspace cells.  The two-variable engine, with one
+boundary slot per (upward edge, neighbor generator) and ``x`` and ``y``
+acting as per-edge integers, runs the very systems the ``n``-variable
+engine (now ``tests/nvar_oracle.py``) ran on the projected graph, so
+these counts did not move when it replaced that engine.  The same column
+in its own three variables, ``nvar_oracle.run_column(build_graph(tr),
+D)``, adds 202 rows, 171 of them independent, in 20 nullspace calls
+over 528 cells.  Those three-variable counts are those of carrying
+sections as module generators: with full per-degree section bases they
+were 483 rows added and 1815 nullspace cells.  The rows added are those
+of the staged S_1 products, where pass ``i`` multiplies by ``x_i`` only
+the rows of stage at least ``i``: multiplying every row of the reduced
 basis of ``M_(d-1)`` by every variable fed 273.  Each extension system
 has one row per pivot slot of ``M_d``: with one per boundary slot that
 any image touches, 221 rows were added and 648 nullspace cells.  The
-polynomial product count pins one multiplication path in
-``run_column``: boundary values are multiplied slot-wise by a variable,
-and the 6 remaining products (3 in three variables) are the powers
-``LinearFormReducer`` builds for its own reductions.  With a second,
-polynomial-product path for the extension system it was 129.
+polynomial product count pins one multiplication path: boundary values
+are scaled slot-wise by a variable's per-edge integer, and the 6
+remaining products (3 in three variables) are the powers
+``LinearFormReducer`` builds when it reduces the monomials of the
+projected section slots.  With a second, polynomial-product path for the
+extension system it was 129.
 """
 
 import subprocess
