@@ -403,6 +403,17 @@ def cmd_verify(args, out):
     return 0 if failed == 0 else 1
 
 
+def _positive_int(text: str) -> int:
+    """The value of ``--max-cells``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
@@ -425,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", required=True, type=int)
 
     def add_cells(p):
-        p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP,
+        p.add_argument("--max-cells", type=_positive_int, default=DEFAULT_CELL_CAP,
                        help="refuse systems whose estimated coefficient cells exceed this")
 
     p = sub.add_parser("roots", help="root datum summary")
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="analytic", choices=["analytic", "stalk"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_CAP)
+    p.add_argument("--max-cells", type=_positive_int, default=DEFAULT_CELL_CAP)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))

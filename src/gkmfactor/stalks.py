@@ -57,22 +57,22 @@ module ``M_x`` in degree ``d`` is ``S_1 M_(d-1)`` plus the boundary
 values of the degree-``d`` generators, and only those are projected.
 
 Boundary slots.  In each degree the quotient of ``Z[x, y]`` by an edge
-label has one basis monomial, the one free of the reducer's pivot
-variable.  So at a vertex a boundary slot is one (upward edge,
-neighbor's generator) pair, numbered once per vertex in that order, and
-it is the same slot in every degree ``d >= t`` that its generator, of
-degree ``t``, reaches.  A boundary value of degree ``d`` is a flat row
-``{slot: coefficient}`` of the slots' degree-``d - t`` monomials.
-Multiplying by ``x`` or by ``y`` scales each slot by one integer of its
-edge, the variable's image in the edge's quotient
-(:meth:`poly.LinearFormReducer.variable_form`), and a slot whose integer
-is zero drops out.  The projection sends section slot ``(y, j, (a, b))``
-at an upward neighbor ``y`` to slot ``(y's edge, j)``, scaled by the one
-coefficient :meth:`poly.LinearFormReducer.reduce_monomial` gives
-``x^a y^b``, and any other section slot to nothing; its images are
-built per (vertex, degree) on first use.  The slots keep the order of
-the ``n``-variable engine's per-degree layouts, so on the projected
-graph every pivot, every system and every kernel is the same as there.
+label has one basis monomial, the one free of the pivot variable, and
+reduction modulo the label is two integers, the images ``(s_x, s_y)``
+of ``x`` and ``y`` (:func:`poly.reducer_for`).  So at a vertex a
+boundary slot is one (upward edge, neighbor's generator) pair, numbered
+once per vertex in that order, and it is the same slot in every degree
+``d >= t`` that its generator, of degree ``t``, reaches.  A boundary
+value of degree ``d`` is a flat row ``{slot: coefficient}`` of the
+slots' degree-``d - t`` monomials.  Multiplying by ``x`` or by ``y``
+scales each slot by its edge's ``s_x`` or ``s_y``, and a slot whose
+integer is zero drops out.  The projection sends section slot ``(y, j,
+(a, b))`` at an upward neighbor ``y`` to slot ``(y's edge, j)``, scaled
+by ``s_x**a * s_y**b``, and any other section slot, or one whose
+product is zero, to nothing; its images are built per (vertex, degree)
+on first use.  The slots keep the order of the ``n``-variable engine's
+per-degree layouts, so on the projected graph every pivot, every system
+and every kernel is the same as there.
 
 Each vertex takes one pass over the degrees.  In degree ``d`` the
 generator search eliminates staged ``S_1`` products of the rows kept in
@@ -153,7 +153,7 @@ from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
-from . import kernels, poly
+from . import kernels
 from . import rootsystem as rsys
 from .momentgraph import MomentGraph, Truncation, build_graph, gkm_violations
 from .poly import reducer_for
@@ -219,19 +219,21 @@ def _scaled(row, scale):
 def _boundary_value(row, table, slots, first):
     """A section row's boundary value: ``sum(c * image(slot))``, where the
     image of section slot ``(y, j, (a, b))`` is the boundary slot
-    ``first[y][1] + j`` times the reduced coefficient of ``x^a y^b``,
-    or nothing when ``y`` has no entry in ``first``.  ``table`` keeps
-    each image once built, ``()`` for nothing."""
+    ``offset + j`` times ``s_x**a * s_y**b`` for ``first[y] = (s_x, s_y,
+    offset)``, or nothing when ``y`` has no entry in ``first`` or that
+    product is zero.  ``table`` keeps each image once built, ``()`` for
+    nothing."""
     out: dict = {}
     for slot, c in row.items():
         target = table[slot]
         if target is None:
-            y, j, mono = slots[slot]
+            y, j, (a, b) = slots[slot]
             edge = first.get(y)
             target = ()
             if edge is not None:
-                reducer, offset = edge
-                for cv in reducer.reduce_monomial(mono).values():
+                sx, sy, offset = edge
+                cv = sx**a * sy**b
+                if cv:
                     target = (offset + j, cv)
             table[slot] = target
         if target:
@@ -293,26 +295,25 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     for x in reversed(order[:-1]):
         xi = plane.vindex[x]
         # The boundary slots (see the module docstring): first[y] is the
-        # upward neighbor's reducer and the slot of its generator 0, and
-        # scales[i][slot] the integer x_i multiplies the slot by: the one
-        # coefficient of the variable's image, or zero for no image.
+        # edge's images (s_x, s_y) of x and y and the slot of the upward
+        # neighbor's generator 0, and xs[slot] and ys[slot] are the
+        # integers x and y multiply the slot by.
         first: dict = {}
-        scales: tuple[list[int], list[int]] = ([], [])
+        xs: list[int] = []
+        ys: list[int] = []
         for k in sorted(plane.adjacency[xi]):
             e = plane.edges[k]
             y = plane.vertices[e.v if e.u == xi else e.u]
             if y in profiles:
-                reducer = reducer_for(e.label, 2)
-                first[y] = (reducer, len(scales[0]))
-                for i, scale in enumerate(scales):
-                    factor = sum(reducer.variable_form(i).values())
-                    scale.extend([factor] * len(profiles[y]))
+                sx, sy = reducer_for(e.label)
+                first[y] = (sx, sy, len(xs))
+                xs.extend([sx] * len(profiles[y]))
+                ys.extend([sy] * len(profiles[y]))
         if not first:
             raise RecursionOrderError(
                 f"vertex {x} has no processed neighbor above it; "
                 "the recursion order is violated"
             )
-        xs, ys = scales
 
         # One pass over the degrees: in degree d the boundary values of
         # the degree-d section generators, the minimal generators of M_d
@@ -476,9 +477,8 @@ def _lift_section_dims(dims: tuple[int, ...], n: int) -> tuple[int, ...]:
 _COLUMN_CACHE: dict = {}
 
 # The most columns the cache keeps: a fuller one is emptied as the next
-# miss starts, never during a column, and so is poly's reducer cache
-# past poly.MAX_REDUCERS.  A cli-session repetition of the benchmark
-# leaves 8 columns and 42 reducers, an adjoint-columns one 6 and 69.
+# miss starts, never during a column.  A cli-session repetition of the
+# benchmark leaves 8 columns, an adjoint-columns one 6.
 MAX_CACHED_COLUMNS = 64
 
 
@@ -498,8 +498,6 @@ def stalk_ranks(tr: Truncation) -> ColumnResult:
     if result is None:
         if len(_COLUMN_CACHE) > MAX_CACHED_COLUMNS:
             _COLUMN_CACHE.clear()
-        if len(poly._REDUCERS) > poly.MAX_REDUCERS:
-            poly._REDUCERS.clear()
         result = _COLUMN_CACHE[key] = run_column(build_graph(tr), default_degree_bound(tr))
     return result
 

@@ -16,6 +16,11 @@ other slot to nothing.  Degree ``d`` runs the staged ``S_1`` passes
 variable of ``exp``'s first nonzero exponent times the image of the slot
 one degree lower.
 
+The reduction modulo a label is :class:`LinearFormReducer`, which
+eliminates one variable; :func:`reducer_for` caches one per label.  In
+two variables it is ``gkmfactor.poly.reducer_for``'s closed form, which
+``tests/test_poly.py`` checks against it.
+
 :func:`run_column` works in its graph's variables and projects nothing,
 so ``run_column(build_graph(tr), D)`` is the ``n``-variable route the
 two-variable engine is compared against, and
@@ -30,7 +35,7 @@ from types import MappingProxyType
 
 from gkmfactor import kernels
 from gkmfactor.momentgraph import MomentGraph
-from gkmfactor.poly import reducer_for
+from gkmfactor.poly import poly_mul
 from gkmfactor.rootsystem import Vec
 from gkmfactor.stalks import ColumnResult, DegreeBoundError, RecursionOrderError
 
@@ -53,6 +58,102 @@ def monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 def reduced_monomials(num_vars: int, degree: int, pivot: int) -> tuple[tuple[int, ...], ...]:
     """Monomials with zero exponent at ``pivot``: a basis of S/(L) in degree d."""
     return tuple(m for m in monomials(num_vars, degree) if m[pivot] == 0)
+
+
+def form_is_zero(form) -> bool:
+    return all(c == 0 for c in form)
+
+
+class LinearFormReducer:
+    """Reduction of homogeneous polynomials modulo a nonzero linear form.
+
+    The quotient S/(L) is realized by eliminating the pivot variable,
+    chosen as the variable whose coefficient in L has the largest
+    absolute value (first such on ties), so the choice is deterministic
+    and the pivot never degenerates.  To stay integral the reduction of
+    a degree-d polynomial is scaled by pivot_coeff**d.  The scaling is
+    uniform per degree and multiplicative across products
+    (``red(p*q) = red(p)*red(q)``), so kernels, image dimensions and the
+    module structure over the ambient ring are all unaffected.  In two
+    variables this is ``gkmfactor.poly.reducer_for``'s closed form.
+    """
+
+    def __init__(self, form, num_vars: int | None = None):
+        form = tuple(form)
+        if form_is_zero(form):
+            raise ValueError("cannot reduce modulo the zero form")
+        n = len(form) if num_vars is None else num_vars
+        if len(form) != n:
+            raise ValueError("form length disagrees with variable count")
+        self.num_vars = n
+        self.form = form
+        pivot = 0
+        best = abs(form[0])
+        for i, c in enumerate(form):
+            if abs(c) > best:
+                pivot, best = i, abs(c)
+        self.pivot = pivot
+        self.pivot_coeff = form[pivot]
+        # c * x_pivot == -sum_{i != pivot} form[i] * x_i on {L = 0}
+        subst: dict = {}
+        for i, c in enumerate(form):
+            if i != pivot and c:
+                e = [0] * n
+                e[i] = 1
+                subst[tuple(e)] = -c
+        self._subst = subst
+        self._subst_pows: list[dict] = [{tuple([0] * n): 1}, subst]
+        self._mono_cache: dict[tuple[int, ...], dict] = {}
+        self._var_forms: list[dict] | None = None
+
+    def _subst_pow(self, k: int) -> dict:
+        pows = self._subst_pows
+        while len(pows) <= k:
+            pows.append(poly_mul(pows[-1], self._subst))
+        return pows[k]
+
+    def reduce_monomial(self, exp: tuple[int, ...]) -> dict:
+        """Scaled image of a monomial in S/(L), on the pivot-free basis."""
+        cached = self._mono_cache.get(exp)
+        if cached is not None:
+            return cached
+        k = exp[self.pivot]
+        d = sum(exp)
+        scale = self.pivot_coeff ** (d - k)
+        if k == 0:
+            out = {exp: scale}
+        else:
+            base = list(exp)
+            base[self.pivot] = 0
+            out = {}
+            for e, c in self._subst_pow(k).items():
+                m = tuple(x + y for x, y in zip(base, e))
+                out[m] = c * scale
+        self._mono_cache[exp] = out
+        return out
+
+    def variable_form(self, i: int) -> dict:
+        """Scaled image of the variable x_i, used for module multiplication."""
+        if self._var_forms is None:
+            forms = []
+            for j in range(self.num_vars):
+                e = [0] * self.num_vars
+                e[j] = 1
+                forms.append(self.reduce_monomial(tuple(e)))
+            self._var_forms = forms
+        return self._var_forms[i]
+
+
+_REDUCERS: dict[tuple[int, tuple[int, ...]], LinearFormReducer] = {}
+
+
+def reducer_for(form, num_vars: int) -> LinearFormReducer:
+    """Shared reducer cache; labels repeat heavily across a moment graph."""
+    key = (num_vars, tuple(form))
+    red = _REDUCERS.get(key)
+    if red is None:
+        red = _REDUCERS[key] = LinearFormReducer(form, num_vars)
+    return red
 
 
 class _Layout:

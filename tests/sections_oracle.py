@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from gkmfactor import kernels
 from gkmfactor.momentgraph import MomentGraph
-from gkmfactor.poly import reducer_for
 from gkmfactor.rootsystem import Vec
-from nvar_oracle import _Layout, monomials, reduced_monomials
+from nvar_oracle import _Layout, monomials, reduced_monomials, reducer_for
 
 
 def reduce_poly(red, p: dict) -> dict:

@@ -125,6 +125,20 @@ def test_default_ceiling_refuses_d5_adjoint_column(no_graph, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["stalks", "--type", "A", "--rank", "2", "--coweight", "theta"],
+    ["eta", "--type", "A", "--rank", "2", "--mode", "stalk"],
+], ids=lambda a: a[0])
+@pytest.mark.parametrize("cap", ["-1", "0", "many"])
+def test_max_cells_below_one_is_refused_by_the_parser(no_graph, capsys, argv, cap):
+    # A cap below one is outside the option's input, not a cap every
+    # column exceeds.  mmatrix and transition declare the option as
+    # stalks does.
+    code, out = capture(argv + ["--max-cells", cap])
+    assert code == 2 and out == ""
+    assert f"argument --max-cells: '{cap}' is not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stalks", "--type", "A", "--rank", "2", "--coweight", "theta"],
     ["mmatrix", "--type", "A", "--rank", "2", "--coweight", "theta"],
     ["transition", "--type", "A", "--rank", "2", "--lambda", "omega1", "--mu", "omega1*",
      "--weight", "zero"],

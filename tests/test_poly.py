@@ -1,14 +1,15 @@
-"""Monomial bases and reduction modulo a linear form."""
+"""Monomial bases and reduction modulo a linear form: the two-variable
+closed form of ``poly.reducer_for`` against the n-variable oracle."""
 
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gkmfactor import kernels
-from gkmfactor.poly import LinearFormReducer, poly_mul, reducer_for
-from nvar_oracle import monomials, reduced_monomials
+from gkmfactor import kernels, poly
+from gkmfactor.poly import poly_mul
+from nvar_oracle import LinearFormReducer, monomials, reduced_monomials, reducer_for
 from sections_oracle import reduce_poly
 
 
@@ -55,6 +56,26 @@ def test_zero_form_rejected():
         LinearFormReducer((0, 0))
     with pytest.raises(ValueError):
         reducer_for((0, 0), 2)
+    with pytest.raises(ValueError):
+        poly.reducer_for((0, 0))
+
+
+@given(st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(any))
+@example((0, 7))
+@example((-5, 0))
+@example((4, -4))
+@example((-3, -3))
+def test_closed_form_reduction_matches_the_oracle(form):
+    # x^a y^b reduces to s_x**a * s_y**b on the pivot-free monomial of
+    # degree a + b, and a zero product to the oracle's empty image.  The
+    # pivot is x on the tie |l0| == |l1|.
+    sx, sy = poly.reducer_for(form)
+    red = LinearFormReducer(form)
+    for a in range(8):
+        for b in range(8):
+            c = sx**a * sy**b
+            mono = (0, a + b) if red.pivot == 0 else (a + b, 0)
+            assert red.reduce_monomial((a, b)) == ({mono: c} if c else {}), (form, a, b)
 
 
 @given(

@@ -726,28 +726,3 @@ def test_column_cache_is_emptied_past_its_ceiling(monkeypatch):
     col = stalk_ranks(trs[3])
     assert list(stalks._COLUMN_CACHE.values()) == [col]
     assert stalk_ranks(trs[0]).profiles == cols[0].profiles
-
-
-def test_reducer_cache_is_emptied_past_its_ceiling(monkeypatch):
-    from gkmfactor import poly
-
-    monkeypatch.setattr(poly, "MAX_REDUCERS", 10)
-    monkeypatch.setattr(poly, "_REDUCERS", {})
-    monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
-    rs = rsys.build("A", 2)
-    sizes = []
-    real = stalks.run_column
-
-    def recording(g, D):
-        sizes.append(len(poly._REDUCERS))
-        result = real(g, D)
-        sizes.append(len(poly._REDUCERS))
-        return result
-
-    monkeypatch.setattr(stalks, "run_column", recording)
-    for lam in [(1, 0, -1), (1, 1, -2), (2, 0, -2), (2, 1, -3)]:
-        stalk_ranks(Truncation(rs, lam))
-    starts, ends = sizes[0::2], sizes[1::2]
-    assert all(s <= 10 for s in starts)  # emptied before a column starts
-    assert all(e >= s for s, e in zip(starts, ends))  # never during one
-    assert any(s < e for e, s in zip(ends, starts[1:]))

@@ -24,11 +24,12 @@ basis of ``M_(d-1)`` by every variable fed 273.  Each extension system
 has one row per pivot slot of ``M_d``: with one per boundary slot that
 any image touches, 221 rows were added and 648 nullspace cells.  The
 polynomial product count pins one multiplication path: boundary values
-are scaled slot-wise by a variable's per-edge integer, and the 6
-remaining products (3 in three variables) are the powers
-``LinearFormReducer`` builds when it reduces the monomials of the
-projected section slots.  With a second, polynomial-product path for the
-extension system it was 129.
+are scaled slot-wise by a variable's per-edge integer, and a projected
+section slot ``x^a y^b`` by ``s_x**a * s_y**b`` from those integers, so
+the column takes no products.  Reducing those monomials through an
+eliminating reducer took 6 (3 in three variables), and a second,
+polynomial-product path for the extension system took 129.  The 15
+``reducer_for`` calls are one per upward edge of each vertex.
 """
 
 import subprocess
@@ -56,7 +57,8 @@ assert counts["kernels.rows_added"] == 103, counts
 assert counts["kernels.rows_independent"] == 77, counts
 assert counts["kernels.nullspace_calls"] == 20, counts
 assert counts["kernels.nullspace_cells"] == 110, counts
-assert counts["poly.poly_mul.calls"] == 6, counts
+assert counts["poly.poly_mul.calls"] == 0, counts
+assert counts["poly.reducer_for.calls"] == 15, counts
 assert counts["stalks.run_column.calls"] == 1, counts
 """
 
