@@ -529,9 +529,20 @@ def run(argv, out=None) -> int:
         args = parser.parse_args(_attach_negative_vectors(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "eta" and not args.series and (args.type is None or args.rank is None):
-        sys.stderr.write("error: eta needs either --series all or both --type and --rank\n")
-        return 2
+    if args.command == "eta":
+        if not args.series and (args.type is None or args.rank is None):
+            problem = "eta needs either --series all or both --type and --rank"
+        elif args.series and (args.type is not None or args.rank is not None):
+            problem = "--type and --rank do not go with --series all"
+        elif args.csv and not args.series:
+            problem = "--csv needs --series all"
+        elif args.csv and args.json:
+            problem = "--csv and --json exclude each other"
+        else:
+            problem = None
+        if problem:
+            sys.stderr.write(f"error: {problem}\n")
+            return 2
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args, out)

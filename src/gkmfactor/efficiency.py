@@ -13,9 +13,9 @@ decreasing along the exceptional series.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from . import rootsystem as rsys
 from .momentgraph import Truncation
@@ -26,8 +26,7 @@ from .weights import tensor_weight_dim
 DEFAULT_CELL_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class EfficiencyRecord:
+class EfficiencyRecord(NamedTuple):
     type_label: str
     rank: int
     num_roots: int
@@ -123,8 +122,7 @@ def adjoint_record(
     return record
 
 
-@dataclass
-class SeriesReport:
+class SeriesReport(NamedTuple):
     records: list[EfficiencyRecord]
     a_strictly_decreasing: bool
     d_strictly_decreasing: bool

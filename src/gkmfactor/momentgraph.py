@@ -39,31 +39,29 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rootsystem as rsys
 from .poly import primitive_form
 from .rootsystem import RootSystem, Vec
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple("Truncation", [("rs", RootSystem), ("lam", Vec)])):
     """A root system together with a dominant cutoff coweight."""
 
-    rs: RootSystem
-    lam: Vec
+    __slots__ = ()
 
-    def __post_init__(self):
-        rsys.check_coweight(self.rs, self.lam)
-        if not rsys.is_dominant(self.rs, self.lam):
+    def __new__(cls, rs: RootSystem, lam: Vec):
+        rsys.check_coweight(rs, lam)
+        if not rsys.is_dominant(rs, lam):
             raise ValueError("truncation coweight must be dominant")
+        return super().__new__(cls, rs, lam)
 
     def vertex_set(self) -> list[Vec]:
         return rsys.weights_of(self.rs, self.lam)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: int
     v: int
     label: tuple[int, ...]

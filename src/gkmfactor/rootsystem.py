@@ -22,9 +22,9 @@ with roots, and the pairing of a coweight ``v`` against a root ``a`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
+from typing import NamedTuple
 
 Vec = tuple[int, ...]
 
@@ -109,28 +109,38 @@ def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    """Immutable simply-laced root datum; build with :func:`build`."""
+class RootSystem(NamedTuple):
+    """Immutable simply-laced root datum; build with :func:`build`.  Equal,
+    and hashed, on ``(type_label, rank)`` alone; ``coeff_cache`` is the
+    memo of :func:`simple_coefficients`."""
 
     type_label: str
     rank: int
-    ambient_dim: int = field(compare=False)
-    simple_roots: tuple[Vec, ...] = field(compare=False)
-    positive_roots: tuple[Vec, ...] = field(compare=False)
-    roots: tuple[Vec, ...] = field(compare=False)
-    cartan_matrix: tuple[tuple[int, ...], ...] = field(compare=False)
+    ambient_dim: int
+    simple_roots: tuple[Vec, ...]
+    positive_roots: tuple[Vec, ...]
+    roots: tuple[Vec, ...]
+    cartan_matrix: tuple[tuple[int, ...], ...]
     # The inverse Cartan matrix is scaled_cartan_inverse / cartan_denominator,
     # over the least common denominator of its entries.
-    scaled_cartan_inverse: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    cartan_denominator: int = field(compare=False)
-    highest_root: Vec = field(compare=False)
+    scaled_cartan_inverse: tuple[tuple[int, ...], ...]
+    cartan_denominator: int
+    highest_root: Vec
     # Dynkin labels <alpha, alpha_j> of the positive roots, in their order.
-    positive_root_labels: tuple[Vec, ...] = field(compare=False, repr=False)
-    root_norm_sq: int = field(compare=False)
-    two_rho: Vec = field(compare=False)
-    root_simple_coeffs: dict = field(compare=False, repr=False)
-    _coeff_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    positive_root_labels: tuple[Vec, ...]
+    root_norm_sq: int
+    two_rho: Vec
+    root_simple_coeffs: dict
+    coeff_cache: dict
+
+    def __eq__(self, other):
+        return isinstance(other, RootSystem) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @property
     def num_roots(self) -> int:
@@ -237,6 +247,7 @@ def build(type_label: str, rank: int) -> RootSystem:
         root_norm_sq=norm_sq,
         two_rho=two_rho,
         root_simple_coeffs=coeffs,
+        coeff_cache={},
     )
 
 
@@ -285,7 +296,7 @@ def simple_coefficients(rs: RootSystem, v: Vec):
     Solved through the scaled inverse Cartan matrix and verified by
     reconstruction, so membership in the root lattice is decided exactly.
     """
-    cache = rs._coeff_cache
+    cache = rs.coeff_cache
     if v not in cache:
         if len(cache) >= MAX_COEFF_CACHE:
             cache.clear()

@@ -149,9 +149,9 @@ invariant, not a bound to raise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import kernels
 from . import rootsystem as rsys
@@ -168,8 +168,7 @@ class RecursionOrderError(ValueError):
     """A vertex was reached with no processed neighbor above it."""
 
 
-@dataclass(frozen=True)
-class ColumnResult:
+class ColumnResult(NamedTuple):
     """Stalk data for one truncation column.
 
     Immutable, since :func:`stalk_ranks` hands cached results to every
@@ -502,8 +501,7 @@ def stalk_ranks(tr: Truncation) -> ColumnResult:
     return result
 
 
-@dataclass(frozen=True)
-class MultiplicityMatrix:
+class MultiplicityMatrix(NamedTuple):
     """Stalk ranks of all truncation classes at all fixed points.
 
     Rows are the dominant coweights of the truncation (its irreducible

@@ -7,8 +7,8 @@ nonzero if any fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import rootsystem as rsys
 from .efficiency import eta_bound
@@ -18,8 +18,7 @@ from .transition import transition_bundle
 from .weights import weight_multiplicity
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     expected: str
     actual: str

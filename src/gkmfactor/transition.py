@@ -14,7 +14,7 @@ outer product of M and the row of ones, and its rank is that of M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import linalg
 from . import rootsystem as rsys
@@ -53,15 +53,13 @@ def _incident_labels(g: MomentGraph) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class TransitionBundle:
+class TransitionBundle(NamedTuple):
     """One weight block of the factored transition matrix.
 
     ``m_block`` is the multiplicity column, one ``(m,)`` row per class
@@ -150,7 +148,7 @@ def transition_bundle(
         c_block=tuple(tuple(m * a for a in a_row) for (m,) in m_block),
         checks=(),
     )
-    return replace(bundle, checks=verify_bundle(bundle))
+    return bundle._replace(checks=verify_bundle(bundle))
 
 
 def verify_bundle(bundle: TransitionBundle) -> tuple[CheckResult, ...]:

@@ -14,14 +14,13 @@ multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rootsystem as rsys
 from .rootsystem import RootSystem, Vec
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class QPolynomial(NamedTuple):
     """Polynomial in q with non-negative integer coefficients,
     ``coeffs[k]`` being the coefficient of ``q**k``."""
 

@@ -6,7 +6,6 @@ column is marked ``expensive`` and deselected by default (run with
 ``pytest -m expensive``).
 """
 
-import dataclasses
 import io
 import random
 import time
@@ -168,7 +167,7 @@ def test_criterion_6_monomial_columns_on_random_bundles():
             (rng.choice([0, 0, 1, 1, 2]),) for _ in base.row_classes
         )
         c = tuple(tuple(m * a for a in base.a_row) for (m,) in m_block)
-        patched = dataclasses.replace(base, m_block=m_block, c_block=c)
+        patched = base._replace(m_block=m_block, c_block=c)
         checks = {c.name: c for c in verify_bundle(patched)}
         assert checks["condition-a-monomial"].ok
         assert checks["support"].ok

@@ -137,6 +137,21 @@ def test_max_cells_below_one_is_refused_by_the_parser(no_graph, capsys, argv, ca
     assert f"argument --max-cells: '{cap}' is not a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eta", "--type", "A", "--rank", "2", "--csv"], "--csv needs --series all"),
+    (["eta", "--series", "all", "--csv", "--json"], "--csv and --json exclude each other"),
+    (["eta", "--series", "all", "--type", "D", "--rank", "4"],
+     "--type and --rank do not go with --series all"),
+    (["eta", "--series", "all", "--type", "D"], "--type and --rank do not go with --series all"),
+    (["eta", "--series", "all", "--rank", "4"], "--type and --rank do not go with --series all"),
+], ids=["csv-without-series", "csv-and-json", "series-and-system", "series-and-type",
+        "series-and-rank"])
+def test_eta_refuses_flags_it_would_ignore(capsys, argv, message):
+    # A flag the request would not honour is refused, not ignored.
+    assert capture(argv) == (2, "")
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["stalks", "--type", "A", "--rank", "2", "--coweight", "theta"],
     ["mmatrix", "--type", "A", "--rank", "2", "--coweight", "theta"],

@@ -19,6 +19,8 @@ the README, loads it as an attribute.
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,25 @@ def fraction_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
             found.append(node.lineno)
     return found
+
+
+def test_package_and_cli_load_neither_dataclasses_nor_inspect():
+    # Every command starts a fresh interpreter, so the package's import
+    # is paid on each; ``dataclasses`` pulls in ``inspect`` and was about
+    # half of it.  The records are named tuples instead.
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
+        "import gkmfactor, gkmfactor.cli",
+        "print(gkmfactor.__file__)",
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    origin, loaded = proc.stdout.splitlines()
+    assert Path(origin).parent == PACKAGE
+    assert loaded == "[]"
 
 
 def test_finds_a_fraction_import():

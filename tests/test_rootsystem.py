@@ -162,9 +162,25 @@ def test_coefficient_cache_is_bounded():
     rs = rsys.build("A", 1)
     for k in range(rsys.MAX_COEFF_CACHE + 10):
         assert rsys.simple_coefficients(rs, (k, -k)) == (k,)
-        assert len(rs._coeff_cache) <= rsys.MAX_COEFF_CACHE
+        assert len(rs.coeff_cache) <= rsys.MAX_COEFF_CACHE
     assert rsys.simple_coefficients(rs, (0, 0)) == (0,)
     assert rsys.simple_coefficients(rs, (1, 0)) is None
+
+
+def test_equality_and_hash_ignore_the_coefficient_cache():
+    # A root system is a named tuple whose last field is the cache, so
+    # tuple comparison would see a warmed cache; equality is on
+    # (type_label, rank) alone, for != and the hash too.
+    warm, cold = rsys.build("A", 2), rsys.build("A", 2)
+    assert warm is not cold
+    rsys.simple_coefficients(warm, (1, -1, 0))
+    assert warm.coeff_cache != cold.coeff_cache
+    assert warm == cold
+    assert not warm != cold
+    assert hash(warm) == hash(cold)
+    a3 = rsys.build("A", 3)
+    assert a3 != warm and a3 != cold
+    assert not a3 == warm
 
 
 def test_pairing_refuses_an_e6_vector_off_the_lattice():

@@ -10,7 +10,6 @@ import functools
 import hashlib
 import json
 import random
-from dataclasses import FrozenInstanceError
 from math import comb
 
 import pytest
@@ -336,7 +335,7 @@ def test_cached_column_is_read_only():
         col.ranks[zero] = 99
     with pytest.raises(TypeError):
         col.profiles[zero] = (0,)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="can't set attribute"):
         col.ranks = {}
     assert stalk_ranks(tr) is col
     assert multiplicity_matrix(tr).column_at(zero) == {rs.highest_root: 2, zero: 1}

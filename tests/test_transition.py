@@ -1,7 +1,6 @@
 """Transition blocks: the collision row, the Euler labels, the composed
 block, argument checks, and the audit checks on tampered blocks."""
 
-import dataclasses
 import re
 
 import pytest
@@ -30,12 +29,12 @@ def sl3_bundle(**kwargs):
 def with_m(bundle, m_block):
     """The bundle with another M column and the C block it composes to."""
     c = tuple(tuple(m * a for a in bundle.a_row) for (m,) in m_block)
-    return dataclasses.replace(bundle, m_block=m_block, c_block=c)
+    return bundle._replace(m_block=m_block, c_block=c)
 
 
 def audit(bundle, **fields):
     """The checks of ``bundle`` with ``fields`` replaced, by name."""
-    return {c.name: c for c in verify_bundle(dataclasses.replace(bundle, **fields))}
+    return {c.name: c for c in verify_bundle(bundle._replace(**fields))}
 
 
 def test_build_A_minuscule_row():
@@ -179,9 +178,9 @@ def test_bad_arguments_refused_before_any_table_or_column(lam, nu, euler, messag
 def test_bundle_and_its_audit_are_frozen():
     bundle = sl3_bundle()
     assert isinstance(bundle.checks, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="can't set attribute"):
         bundle.checks = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="can't set attribute"):
         bundle.checks[0].ok = False
 
 
