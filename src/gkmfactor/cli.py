@@ -338,7 +338,8 @@ def cmd_transition(args, out):
 
 def cmd_eta(args, out):
     if args.series:
-        report = series_report(args.max_rank, mode=args.mode, cell_cap=args.max_cells)
+        max_rank = 8 if args.max_rank is None else args.max_rank
+        report = series_report(max_rank, mode=args.mode, cell_cap=args.max_cells)
         header = ["system", "roots", "geometric", "combinatorial", "eta", "bound", "source"]
         if args.json:
             payload = {
@@ -404,7 +405,8 @@ def cmd_verify(args, out):
 
 
 def _positive_int(text: str) -> int:
-    """The value of ``--max-cells``: an integer of at least 1."""
+    """The value of ``--max-cells`` or ``--max-rank``: an integer of at
+    least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -486,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eta", help="geometric efficiency and universal bounds")
     p.add_argument("--series", choices=["all"], default=None)
-    p.add_argument("--max-rank", type=int, default=8)
+    p.add_argument("--max-rank", type=_positive_int, default=None,
+                   help="largest rank of the series (default 8)")
     p.add_argument("--type", choices=["A", "D", "E"])
     p.add_argument("--rank", type=int)
     p.add_argument("--mode", default="analytic", choices=["analytic", "stalk"])
@@ -534,6 +537,8 @@ def run(argv, out=None) -> int:
             problem = "eta needs either --series all or both --type and --rank"
         elif args.series and (args.type is not None or args.rank is not None):
             problem = "--type and --rank do not go with --series all"
+        elif args.max_rank is not None and not args.series:
+            problem = "--max-rank needs --series all"
         elif args.csv and not args.series:
             problem = "--csv needs --series all"
         elif args.csv and args.json:

@@ -138,12 +138,21 @@ Degree bound.  Generator degrees of a stalk are bounded by half the
 complex dimension of the truncation: intersection cohomology stalks at
 ``t^mu`` sit strictly below ``dim Gr^lam - dim Gr^mu`` (Braden-MacPherson
 2001; Lusztig 1983, whose q-analogue the tests check at every vertex).
-So the bound is ``max(2, (dim - 1)//2 + 2)`` with ``dim = <2 rho, lam>``,
-read off the truncation alone, and there are no retries.  A column
-whose generator profile touches the last two degrees is still rejected
-with :class:`DegreeBoundError`, so every reported rank is
-stability-checked; at the default bound that error means a broken
-invariant, not a bound to raise.
+So with ``dim = <2 rho, lam>`` no generator sits above degree
+``(dim - 1)//2``, which the adjoint origins of E7 and E8 reach.  The
+bound is ``D = max(2, (dim - 1)//2 + 2)``, read off the truncation
+alone, and :func:`run_column` runs degrees ``0..D - 2``; there are no
+retries.  Every rank is then certified: the generator count at each
+vertex must equal the multiplicity of its weight in the irreducible of
+highest coweight ``lam`` (:func:`weights.freudenthal_weight_table`),
+which geometric Satake makes the true stalk rank.  Degree ``d`` at a
+vertex reads only degrees ``<= d``, so the profiles up to ``D - 2`` are
+exactly those of a longer run, and a true generator in any higher degree
+would leave a rank below its multiplicity.  So the certificate rejects
+every column that a check for generators in degrees ``D - 1`` and ``D``
+rejects, and one with a generator above ``D`` too, which such a check
+never sees.  A failure raises :class:`DegreeBoundError`; at the default
+bound it means a broken invariant, not a bound to raise.
 """
 
 from __future__ import annotations
@@ -153,7 +162,7 @@ from math import comb
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import kernels
+from . import kernels, weights
 from . import rootsystem as rsys
 from .momentgraph import MomentGraph, Truncation, build_graph, gkm_violations
 from .poly import reducer_for
@@ -161,7 +170,9 @@ from .rootsystem import Vec
 
 
 class DegreeBoundError(ValueError):
-    """Generator profile not stable below the degree bound."""
+    """Some stalk rank is not the multiplicity of its weight: a generator
+    lies above degree ``D - 2`` of the bound ``D``, or an invariant broke
+    (see the module docstring)."""
 
 
 class RecursionOrderError(ValueError):
@@ -249,14 +260,19 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     """One full top-down pass over a truncation's moment graph, over a
     generic rank-2 subtorus (see the module docstring).
 
-    Returns ``g`` itself and ``section_dims`` over its variables.  Raises
-    :class:`ValueError` up front for a bad extension or a graph with a
-    zero label or two proportional labels at a vertex,
-    :class:`DegreeBoundError` when some vertex has a minimal generator
-    in the last two degrees (profile not yet stable), and
+    Runs degrees ``0..D - 2`` and certifies every rank against the
+    multiplicity of its weight (see the module docstring), so
+    ``section_dims`` covers those degrees, over ``g``'s variables, and
+    the result carries ``g`` itself.  Raises :class:`ValueError` up
+    front for a bad extension, a graph with a zero label or two
+    proportional labels at a vertex, or a coweight that is not
+    dominant; :class:`DegreeBoundError` when some vertex's generator
+    count is not the multiplicity of its weight; and
     :class:`RecursionOrderError` if the supplied extension strands a
     vertex with no processed upper neighbor.
     """
+    if D < 2:
+        raise DegreeBoundError(f"degree bound {D} leaves no degree to run")
     order = list(extension) if extension is not None else g.linear_extension()
     if sorted(order) != sorted(g.vertices):
         raise ValueError("extension must enumerate the graph's vertices")
@@ -274,20 +290,22 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     if bad:
         v, a, b = bad[0]
         raise ValueError(f"proportional labels {a} and {b} at vertex {v}")
+    multiplicity = weights.freudenthal_weight_table(g.lam, g.rs)
     plane = _plane_graph(g)
 
     # Sections over the processed upper set, as an S-module: gens[d] holds
     # the degree-d generators, flat rows {slot: int} over the section slots
     # slots[d] = [(vertex, generator index, (a, b))], and dims[d] is
     # dim Gamma_d.  A vertex is processed once it has a profile.
-    slots: list[list[tuple]] = [[] for _ in range(D + 1)]
-    gens: list[list[dict]] = [[] for _ in range(D + 1)]
+    degrees = range(D - 1)
+    slots: list[list[tuple]] = [[] for _ in degrees]
+    gens: list[list[dict]] = [[] for _ in degrees]
     slots[0].append((order[-1], 0, (0, 0)))
     gens[0].append({0: 1})
-    dims = [d + 1 for d in range(D + 1)]
+    dims = [d + 1 for d in degrees]
     # The exponents (a, m - a) of each degree m, one tuple each, which
     # every section slot of that degree shares.
-    exps = [[(a, m - a) for a in range(m + 1)] for m in range(D + 1)]
+    exps = [[(a, m - a) for a in range(m + 1)] for m in degrees]
     profiles: dict[Vec, tuple[int, ...]] = {order[-1]: (0,)}
     section_dims: tuple[int, ...] = ()
 
@@ -323,7 +341,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         prev_staged: list[tuple[int, dict]] = []
         prev_images: dict = {}
         prev_free: set = set()
-        for d in range(D + 1):
+        for d in degrees:
             table = [None] * len(slots[d])
             span = [_boundary_value(vec, table, slots[d], first) for vec in gens[d]]
 
@@ -424,13 +442,11 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
             section_dims = tuple(dims)
             break
 
-    unstable = sorted(
-        v for v, prof in profiles.items() if any(d >= D - 1 for d in prof)
-    )
-    if unstable:
+    uncertified = sorted(v for v, prof in profiles.items() if len(prof) != multiplicity.get(v))
+    if uncertified:
         raise DegreeBoundError(
-            f"generator profile touches degrees {D - 1}..{D} at vertices "
-            f"{unstable}; it is not stable below degree bound {D}"
+            f"stalk rank is not the weight multiplicity at vertices {uncertified} "
+            f"(degrees 0..{D - 2} of degree bound {D})"
         )
 
     return ColumnResult(
@@ -488,7 +504,7 @@ def stalk_ranks(tr: Truncation) -> ColumnResult:
     The recursion runs over a generic rank-2 subtorus, and the result
     carries the truncation's own graph and ``section_dims`` lifted to
     its variables (see the module docstring).  There are no retries: a
-    profile that is not stable below the bound raises
+    rank that is not the multiplicity of its weight raises
     :class:`DegreeBoundError`.  Results are cached per (root system,
     coweight), and a cached column builds no graph.
     """

@@ -25,7 +25,10 @@ two variables it is ``gkmfactor.poly.reducer_for``'s closed form, which
 so ``run_column(build_graph(tr), D)`` is the ``n``-variable route the
 two-variable engine is compared against, and
 ``run_column(stalks._plane_graph(build_graph(tr)), D)`` runs the same
-systems as the two-variable engine on that truncation.
+systems as the two-variable engine on that truncation.  It runs degrees
+``0..D`` and checks that ``D - 1`` and ``D`` hold no generator, where
+the engine runs ``0..D - 2`` and certifies its ranks against the weight
+multiplicities, so it matches the engine run at ``D + 2``.
 """
 
 from __future__ import annotations

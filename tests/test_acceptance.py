@@ -61,7 +61,7 @@ def test_criterion_2_d5_adjoint_stalk_ranks():
 def test_criterion_2_stretch_e6_adjoint_stalk():
     # Stretch target: exact value 6, in degrees the exponents of E6
     # minus one (the q-analogue of the adjoint representation at zero).
-    # About 1 s over the rank-2 subtorus.
+    # About 0.3 s over the rank-2 subtorus.
     rs = rsys.build("E", 6)
     column = stalk_ranks(Truncation(rs, rs.highest_root))
     assert column.ranks[rsys.zero_vec(rs)] == 6
@@ -69,7 +69,7 @@ def test_criterion_2_stretch_e6_adjoint_stalk():
 
 
 def test_criterion_2_e7_adjoint_stalk_ranks():
-    # 127 vertices at degree bound 18: about 5 s.  The origin's
+    # 127 vertices at degree bound 18: about 2.5 s.  The origin's
     # generators sit in the exponents of E7 minus one, and every rank is
     # the multiplicity of its weight, from Freudenthal's formula, as the
     # Kostant sum refuses W(E7).
@@ -82,7 +82,7 @@ def test_criterion_2_e7_adjoint_stalk_ranks():
 
 @pytest.mark.expensive
 def test_criterion_2_e8_adjoint_origin_profile():
-    # 241 vertices at degree bound 30: about 150 s.  The origin's
+    # 241 vertices at degree bound 30: about 46 s.  The origin's
     # generators sit in the exponents of E8 minus one.
     rs = rsys.build("E", 8)
     column = stalk_ranks(Truncation(rs, rs.highest_root))

@@ -396,9 +396,25 @@ def test_negative_vector_space_form_matches_equals_form(argv, capsys):
 def test_eta_series_rejects_max_rank_before_any_worker(monkeypatch, pool_requests, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     code, out = capture(["eta", "--series", "all", "--max-rank", "0", "--mode", "stalk"])
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert pool_requests == []
-    assert "max_rank must be at least 1" in capsys.readouterr().err
+    assert "argument --max-rank: '0' is not a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--series", "all", "--max-rank", "-3"], "argument --max-rank: '-3' is not a positive integer"),
+    (["--series", "all", "--max-rank", "two"], "argument --max-rank: 'two' is not a positive integer"),
+    (["--type", "A", "--rank", "2", "--max-rank", "3"], "error: --max-rank needs --series all"),
+    (["--type", "A", "--rank", "2", "--max-rank", "2"], "error: --max-rank needs --series all"),
+], ids=["negative", "not-a-number", "without-series", "without-series-same-rank"])
+@pytest.mark.parametrize("mode", ["analytic", "stalk"])
+def test_eta_refuses_a_max_rank_it_cannot_honour(monkeypatch, pool_requests, capsys, argv,
+                                                 message, mode):
+    # A usage error (exit 2) before any row, never a silent single row.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert capture(["eta", *argv, "--mode", mode]) == (2, "")
+    assert message in capsys.readouterr().err
+    assert pool_requests == []
 
 
 @pytest.mark.parametrize(

@@ -10,13 +10,15 @@ import functools
 import hashlib
 import json
 import random
+import re
 from math import comb
 
 import pytest
 
-from gkmfactor import kernels, stalks
+from gkmfactor import kernels, stalks, weights
 from gkmfactor import rootsystem as rsys
 from gkmfactor.momentgraph import (
+    MomentGraph,
     Truncation,
     build_graph,
     export_graph,
@@ -61,8 +63,6 @@ def test_sections_a1_pair():
 def test_sections_disconnected_dims_add():
     # Synthetic two-vertex graph with no edges: the section space is the
     # direct product, so dimensions add.
-    from gkmfactor.momentgraph import MomentGraph
-
     rs = rsys.build("A", 1)
     theta = rs.highest_root
     g = MomentGraph(rs, theta, [theta, (0, 0)], [])
@@ -201,6 +201,13 @@ def test_explicit_insufficient_bound_raises():
         run_column(build_graph(Truncation(rs, rs.highest_root)), 2)
 
 
+@pytest.mark.parametrize("D", [0, 1])
+def test_bound_below_two_raises(D):
+    rs = rsys.build("A", 1)
+    with pytest.raises(DegreeBoundError, match="no degree to run"):
+        run_column(build_graph(Truncation(rs, rs.highest_root)), D)
+
+
 def test_level_inverting_extension_rejected():
     rs = rsys.build("A", 2)
     g = build_graph(Truncation(rs, rs.highest_root))
@@ -321,7 +328,7 @@ def test_section_dims_match_public_path():
     col = stalk_ranks(Truncation(rs, rs.highest_root))
     upper = [v for v in g.vertices if any(v)]
     secs = section_space(g, upper, free_stalk_assignment(upper), col.degree_bound)
-    assert tuple(secs.dimension(d) for d in range(col.degree_bound + 1)) == col.section_dims
+    assert tuple(secs.dimension(d) for d in range(col.degree_bound - 1)) == col.section_dims
 
 
 def test_cached_column_is_read_only():
@@ -351,7 +358,8 @@ def _coweight(rs, name):
 # other than (0,) of the benchmark's adjoint-columns truncations.  The
 # values were recorded from an engine that assembled each new section as
 # a full nested combination, so they check the x-first extension step
-# against an independent route.
+# against an independent route.  The dims cover degrees 0..D, those of a
+# run at D + 2; stalk_ranks runs degrees 0..D - 2, a prefix of them.
 GOLDEN_COLUMNS = {
     ("A", 3, "theta"): (4, (1, 6, 21, 55, 119), 13, {(0, 0, 0, 0): (0, 1, 2)}),
     ("A", 4, "theta"): (5, (1, 7, 28, 84, 209, 454), 21, {(0, 0, 0, 0, 0): (0, 1, 2, 3)}),
@@ -366,13 +374,21 @@ GOLDEN_COLUMNS = {
 }
 
 
+@functools.cache
+def _longer_column(t, l, name):
+    """The column run at its degree bound plus two: degrees 0..D."""
+    tr = _truncation(t, l, name)
+    return run_column(build_graph(tr), default_degree_bound(tr) + 2)
+
+
 @pytest.mark.parametrize("t,l,name", sorted(GOLDEN_COLUMNS), ids=lambda x: str(x))
 def test_engine_golden_columns(t, l, name):
     bound, dims, count, special = GOLDEN_COLUMNS[(t, l, name)]
     rs = rsys.build(t, l)
     col = stalk_ranks(Truncation(rs, _coweight(rs, name)))
     assert col.degree_bound == bound
-    assert col.section_dims == dims
+    assert col.section_dims == dims[: bound - 1]
+    assert _longer_column(t, l, name).section_dims == dims
     assert len(col.profiles) == count
     assert set(col.profiles) == set(col.graph.vertices)
     for v, profile in col.profiles.items():
@@ -405,7 +421,7 @@ def test_section_dims_match_oracle_on_smooth_columns(t, l, name):
     assert set(col.profiles.values()) == {(0,)}
     upper = col.order[1:]
     secs = section_space(col.graph, upper, free_stalk_assignment(upper), col.degree_bound)
-    assert tuple(secs.dimension(d) for d in range(col.degree_bound + 1)) == col.section_dims
+    assert tuple(secs.dimension(d) for d in range(col.degree_bound - 1)) == col.section_dims
 
 
 def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
@@ -417,12 +433,12 @@ def test_extension_rejects_kernel_vector_on_two_old_sections(monkeypatch):
     col = stalk_ranks(Truncation(rs, rs.highest_root))
     D = col.degree_bound
     # x-slot count of each extension solve in call order: every vertex
-    # but the top and the last one processed, degrees 0..D, with d - t + 1
-    # monomials of x and y per generator of degree t.
+    # but the top and the last one processed, degrees 0..D - 2, with
+    # d - t + 1 monomials of x and y per generator of degree t.
     nxs = [
         sum(d - t + 1 for t in col.profiles[x] if d >= t)
         for x in reversed(col.order[1:-1])
-        for d in range(D + 1)
+        for d in range(D - 1)
     ]
     real = kernels.nullspace_of_rows
     old_columns = []
@@ -537,7 +553,9 @@ def test_extension_kernels_digest(t, l, name):
 # graph, ``run_column(stalks._plane_graph(build_graph(tr)), D)``, before
 # the engine was specialized to two variables, so the two-variable
 # engine must build and solve the very systems the n-variable one
-# builds over the same subtorus; the oracle is held to them too.
+# builds over the same subtorus; the oracle is held to them too.  The
+# oracle runs degrees 0..D and the engine 0..D - 2, so the engine is
+# run at D + 2.
 PLANE_DIGESTS = {
     ("A", 2, "theta"):
         "11c431f6e6c93ff36b77cf3cb10f81b7b779cf75eb0c9a226c91da78e6c4149d",
@@ -562,7 +580,7 @@ def test_plane_systems_digest(t, l, name, route):
     tr = _truncation(t, l, name)
     g, D = build_graph(tr), default_degree_bound(tr)
     if route == "engine":
-        systems, _ = _digests(lambda: run_column(g, D))
+        systems, _ = _digests(lambda: run_column(g, D + 2))
     else:
         systems, _ = _digests(lambda: nvar_oracle.run_column(stalks._plane_graph(g), D))
     assert systems == PLANE_DIGESTS[(t, l, name)]
@@ -590,7 +608,55 @@ def test_subtorus_column_matches_the_n_variable_route(t, l, name):
     assert col.order == oracle.order
     assert col.profiles == oracle.profiles
     assert col.ranks == oracle.ranks
-    assert col.section_dims == oracle.section_dims
+    assert col.section_dims == oracle.section_dims[: col.degree_bound - 1]
+
+
+@pytest.mark.parametrize("t,l,name", SUBTORUS_COLUMNS, ids=lambda x: str(x))
+def test_degrees_past_the_bound_minus_two_change_nothing(t, l, name):
+    # No generator sits above D - 2 and degree d reads only degrees <= d
+    # (see the stalks module docstring): the two degrees more that a run
+    # at D + 2 takes add no generator and leave the lower dims as they are.
+    col = stalk_ranks(_truncation(t, l, name))
+    longer = _longer_column(t, l, name)
+    assert col.profiles == longer.profiles
+    assert col.ranks == longer.ranks
+    assert len(col.section_dims) == col.degree_bound - 1
+    assert col.section_dims == longer.section_dims[: col.degree_bound - 1]
+
+
+@pytest.mark.parametrize("vertex,delta", [((0, 0, 0), 1), ((0, 0, 0), -1), ((1, 0, -1), 1)])
+def test_certificate_names_a_vertex_off_its_multiplicity(monkeypatch, vertex, delta):
+    # One multiplicity off by one: the profiles are right, so only the
+    # certificate can refuse the column, and it names that vertex alone.
+    rs, g = adjoint_graph("A", 2)
+    real = weights.freudenthal_weight_table
+
+    def off_by_one(lam, rs):
+        table = real(lam, rs)
+        table[vertex] += delta
+        return table
+
+    assert run_column(g, 3).ranks[vertex] == real(g.lam, rs)[vertex]
+    monkeypatch.setattr(weights, "freudenthal_weight_table", off_by_one)
+    with pytest.raises(DegreeBoundError, match=re.escape(f"at vertices {[vertex]} ")):
+        run_column(g, 3)
+
+
+def test_graph_with_a_coweight_that_is_not_dominant_is_refused_up_front(monkeypatch):
+    # The A2 adjoint graph with the lowest root as its top: no weight
+    # table exists for it, so nothing may be eliminated.
+    rs, g = adjoint_graph("A", 2)
+    lowest = tuple(-x for x in rs.highest_root)
+    flipped = MomentGraph(rs, lowest, g.vertices, g.edges)
+    assert flipped.linear_extension()[-1] == lowest
+
+    def untouchable(*args):
+        raise AssertionError("reached an elimination")
+
+    monkeypatch.setattr(kernels, "nullspace_of_rows", untouchable)
+    monkeypatch.setattr(kernels, "IntRREF", untouchable)
+    with pytest.raises(ValueError, match="must be dominant"):
+        run_column(flipped, 3)
 
 
 @pytest.mark.parametrize("t,l,scale", [("A", 4, 1), ("D", 4, 1), ("A", 3, 2)])

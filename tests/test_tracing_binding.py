@@ -7,15 +7,19 @@ The A2 adjoint column's work counts pin the engine's current
 elimination work; a change that alters that work updates them.
 
 ``stalk_ranks`` makes one ``run_column`` call, which runs the recursion
-over a rank-2 subtorus: 103 rows added, 77 independent, 20 nullspace
-calls and 110 nullspace cells.  The two-variable engine, with one
-boundary slot per (upward edge, neighbor generator) and ``x`` and ``y``
-acting as per-edge integers, runs the very systems the ``n``-variable
-engine (now ``tests/nvar_oracle.py``) ran on the projected graph, so
-these counts did not move when it replaced that engine.  The same column
-in its own three variables, ``nvar_oracle.run_column(build_graph(tr),
-D)``, adds 202 rows, 171 of them independent, in 20 nullspace calls
-over 528 cells.  Those three-variable counts are those of carrying
+over a rank-2 subtorus in degrees 0..D - 2 and certifies every rank
+against one Freudenthal weight table: 40 rows added, 30 independent, 10
+nullspace calls and 39 nullspace cells.  Running degrees 0..D and
+checking that D - 1 and D held no generator took 103 rows added, 77
+independent, 20 nullspace calls and 110 nullspace cells.  The
+two-variable engine, with one boundary slot per (upward edge, neighbor
+generator) and ``x`` and ``y`` acting as per-edge integers, runs the
+very systems the ``n``-variable engine (now ``tests/nvar_oracle.py``)
+ran on the projected graph, so those counts did not move when it
+replaced that engine.  The same column through degree D in its own
+three variables, ``nvar_oracle.run_column(build_graph(tr), D)``, adds
+202 rows, 171 of them independent, in 20 nullspace calls over 528
+cells.  Those three-variable counts are those of carrying
 sections as module generators: with full per-degree section bases they
 were 483 rows added and 1815 nullspace cells.  The rows added are those
 of the staged S_1 products, where pass ``i`` multiplies by ``x_i`` only
@@ -53,10 +57,11 @@ gk.stalk_ranks(gk.Truncation(rs, rs.highest_root))
 counts = {k: v for k, (v, unit) in tracer.snapshot().items() if unit == "count"}
 # Each eliminated row is counted once: the kernel's own nullspace and
 # rank helpers must not go through the traced IntRREF.
-assert counts["kernels.rows_added"] == 103, counts
-assert counts["kernels.rows_independent"] == 77, counts
-assert counts["kernels.nullspace_calls"] == 20, counts
-assert counts["kernels.nullspace_cells"] == 110, counts
+assert counts["kernels.rows_added"] == 40, counts
+assert counts["kernels.rows_independent"] == 30, counts
+assert counts["kernels.nullspace_calls"] == 10, counts
+assert counts["kernels.nullspace_cells"] == 39, counts
+assert counts["weights.freudenthal_weight_table.calls"] == 1, counts
 assert counts["poly.poly_mul.calls"] == 0, counts
 assert counts["poly.reducer_for.calls"] == 15, counts
 assert counts["stalks.run_column.calls"] == 1, counts
