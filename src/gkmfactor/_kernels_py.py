@@ -150,10 +150,14 @@ def nullspace_of_rows(rows, ncols):
             columns[f][i] = v
     rr = IntRREF()
     basis = []
+    pivots = rr.pivots
     for column in columns:
+        # The residual is primitive and zero at every pivot column, so it
+        # is stored as it is, positive at its pivot.
         r = rr.reduce(column)
-        if min(r) < m:
-            rr.add(r)
+        col = min(r)
+        if col < m:
+            pivots[col] = r if r[col] > 0 else {c: -v for c, v in r.items()}
         else:
             basis.append({c - m: v for c, v in r.items()})
     return basis

@@ -50,7 +50,8 @@ def _guard_cells(tr, args):
     """Refuse before any graph is built when a column would be too large.
 
     A dominant class below ``tr.lam`` has a subset of its vertices and a
-    degree bound no larger, so guarding ``tr`` guards every class under it.
+    degree bound no larger (it shares the lowest dominant coweight of
+    ``tr.lam``), so guarding ``tr`` guards every class under it.
     """
     cap = args.max_cells
     cells, bound, exact = estimated_cells(tr, cap)

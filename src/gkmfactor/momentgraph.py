@@ -82,21 +82,24 @@ class MomentGraph:
             adj[e.v].append(k)
         self.adjacency = adj
         self._num_vars = rs.rank + 1
-        self._level = {
-            i: self._level_key(v) for i, v in enumerate(self.vertices)
-        }
+        self._level = {}
+        self._height = {}
+        for i, v in enumerate(self.vertices):
+            self._level[i], self._height[i] = self._level_and_height(v)
 
-    def _level_key(self, v: Vec):
-        if v == self.lam:
-            return (1, 0)
-        d = 0
+    def _level_and_height(self, v: Vec):
+        """The level of ``v`` and ``<2 rho, dom v>``, in one pass over the
+        positive roots."""
+        d = h = 0
         for beta in self.rs.positive_roots:
             p = rsys.pairing(self.rs, v, beta)
             if p > 0:
                 d += p
+                h += p
             elif p < 0:
                 d += -p - 1
-        return (0, d)
+                h -= p
+        return ((1, 0) if v == self.lam else (0, d)), h
 
     @property
     def num_vars(self) -> int:
@@ -118,6 +121,12 @@ class MomentGraph:
 
     def level(self, v: Vec):
         return self._level[self.vindex[v]]
+
+    def dominant_height(self, v: Vec) -> int:
+        """``<2 rho, dom v> = sum over positive roots beta of |<beta, v>|``;
+        ``dominant_height(lam) - dominant_height(v)`` is the codimension
+        of the orbit of ``t^v`` in the truncation."""
+        return self._height[self.vindex[v]]
 
     def linear_extension(self, rng=None) -> list[Vec]:
         """Vertices in ascending order.  Default tie-break is

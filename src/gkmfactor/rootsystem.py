@@ -462,6 +462,35 @@ def dominant_weights_of(rs: RootSystem, lam: Vec) -> list[Vec]:
     return sorted(iter_dominant_weights(rs, lam))
 
 
+def lowest_dominant_weight(rs: RootSystem, lam: Vec) -> Vec:
+    """The lowest dominant coweight dominance-below ``lam``, the minimum
+    of :func:`dominant_weights_of` (zero when ``lam`` is in the coroot
+    lattice).
+
+    A dominant coweight above that minimum stays dominant after some
+    positive root is subtracted (Stembridge, *The partial order of
+    dominant weights*, Adv. Math. 1998).  So the walk subtracts each
+    positive root, highest first, as many times as the Dynkin labels
+    stay non-negative, until no root can be subtracted; it enumerates no
+    weights.
+    """
+    labels = [pairing(rs, lam, a) for a in rs.simple_roots]
+    if min(labels) < 0:
+        raise ValueError("highest coweight must be dominant")
+    v = lam
+    moved = True
+    while moved:
+        moved = False
+        for a, root_labels in zip(reversed(rs.positive_roots), reversed(rs.positive_root_labels)):
+            # Every positive root pairs positively with some simple root.
+            k = min([l // r for l, r in zip(labels, root_labels) if r > 0])
+            if k:
+                labels = [l - k * r for l, r in zip(labels, root_labels)]
+                v = tuple([x - k * y for x, y in zip(v, a)])
+                moved = True
+    return v
+
+
 def fundamental_coweight(rs: RootSystem, i: int) -> Vec:
     """The i-th fundamental coweight (1-based) when it is integral in the
     realization; raises otherwise (e.g. D-type spinor nodes)."""

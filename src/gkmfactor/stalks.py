@@ -77,9 +77,10 @@ and every kernel is the same as there.
 Each vertex takes one pass over the degrees.  In degree ``d`` the
 generator search eliminates staged ``S_1`` products of the rows kept in
 degree ``d - 1``, followed by the projected degree-``d`` section
-generators.  Write ``x_0 = x`` and ``x_1 = y``.  Every kept row carries
-a stage: a row that became independent in pass ``i`` has stage ``i``,
-and the row of a new generator has stage 1.  Degree ``d`` runs pass
+generators up to the vertex's own degree bound (see below).  Write
+``x_0 = x`` and ``x_1 = y``.  Every kept row carries a stage: a row that
+became independent in pass ``i`` has stage ``i``, and the row of a new
+generator has stage 1.  Degree ``d`` runs pass
 ``i = 1``, then pass ``i = 0``, and pass ``i`` feeds ``x_i b`` only for
 the kept rows ``b`` of stage at least ``i``.  The row kept is the
 residual as inserted, the pivot row read right after the insert.  This
@@ -135,24 +136,38 @@ never mutated: one with no ``x`` part is shared, and an extended one is
 a copy, rescaled for a coefficient other than one.
 
 Degree bound.  Generator degrees of a stalk are bounded by half the
-complex dimension of the truncation: intersection cohomology stalks at
-``t^mu`` sit strictly below ``dim Gr^lam - dim Gr^mu`` (Braden-MacPherson
-2001; Lusztig 1983, whose q-analogue the tests check at every vertex).
-So with ``dim = <2 rho, lam>`` no generator sits above degree
-``(dim - 1)//2``, which the adjoint origins of E7 and E8 reach.  The
-bound is ``D = max(2, (dim - 1)//2 + 2)``, read off the truncation
-alone, and :func:`run_column` runs degrees ``0..D - 2``; there are no
-retries.  Every rank is then certified: the generator count at each
-vertex must equal the multiplicity of its weight in the irreducible of
-highest coweight ``lam`` (:func:`weights.freudenthal_weight_table`),
-which geometric Satake makes the true stalk rank.  Degree ``d`` at a
-vertex reads only degrees ``<= d``, so the profiles up to ``D - 2`` are
-exactly those of a longer run, and a true generator in any higher degree
-would leave a rank below its multiplicity.  So the certificate rejects
-every column that a check for generators in degrees ``D - 1`` and ``D``
-rejects, and one with a generator above ``D`` too, which such a check
-never sees.  A failure raises :class:`DegreeBoundError`; at the default
-bound it means a broken invariant, not a bound to raise.
+codimension of its orbit: intersection cohomology stalks of ``Gr^lam``
+at ``t^mu`` sit strictly below ``codim mu = <2 rho, lam - dom mu>``
+(Braden-MacPherson 2001; Lusztig 1983, whose q-analogue the tests check
+at every vertex), and ``<2 rho, dom mu>`` is
+:meth:`MomentGraph.dominant_height`.  So vertex ``x`` has no generator
+above its own bound ``d_x = max(0, (codim x - 1)//2)``, which the
+adjoint origins of E7 and E8 reach.  The largest codimension is that of
+the lowest dominant coweight ``lam_min`` below ``lam``: zero when ``lam``
+is in the coroot lattice, and otherwise a minimal coweight that
+:func:`rootsystem.lowest_dominant_weight` finds without enumerating
+weights.  The column bound is ``D = max(2, (<2 rho, lam - lam_min> -
+1)//2 + 2)``, read off the truncation alone, and :func:`run_column`
+runs degrees ``0..D - 2``; there are no retries.  Above ``d_x`` the
+generator search at ``x`` inserts no section generators but still feeds
+the staged ``S_1`` products, which span ``M_d`` when no generator lies
+in degree ``d``; so ``M_d``'s pivots, every extension system and every
+kernel are those of a search through ``D - 2``.  The final vertex stops
+after ``d_x``.
+
+Every rank is certified as soon as the search at its vertex has passed
+``d_x``: the generator count must equal the multiplicity of its weight
+in the irreducible of highest coweight ``lam``
+(:func:`weights.freudenthal_weight_table`), which geometric Satake makes
+the true stalk rank.  Degree ``d`` at a vertex reads only degrees
+``<= d``, so the profiles up to a bound are exactly those of a longer
+run, and a true generator above either bound would leave a rank below
+its multiplicity.  So the certificate rejects every column that a check
+for generators in degrees ``D - 1`` and ``D`` rejects, and one with a
+generator above ``D`` too, which such a check never sees; and it raises
+before a missed generator can reach a later vertex.  A failure raises
+:class:`DegreeBoundError` naming the vertex; at the default bounds it
+means a broken invariant, not a bound to raise.
 """
 
 from __future__ import annotations
@@ -171,8 +186,8 @@ from .rootsystem import Vec
 
 class DegreeBoundError(ValueError):
     """Some stalk rank is not the multiplicity of its weight: a generator
-    lies above degree ``D - 2`` of the bound ``D``, or an invariant broke
-    (see the module docstring)."""
+    lies above its vertex's own bound or above degree ``D - 2`` of the
+    bound ``D``, or an invariant broke (see the module docstring)."""
 
 
 class RecursionOrderError(ValueError):
@@ -195,9 +210,15 @@ class ColumnResult(NamedTuple):
 
 
 def default_degree_bound(tr: Truncation) -> int:
-    """The degree bound of a truncation's column (see the module doc)."""
-    dim = sum(rsys.pairing(tr.rs, tr.lam, a) for a in tr.rs.positive_roots)
-    return max(2, (dim - 1) // 2 + 2)
+    """The degree bound of a truncation's column: ``max(2, (codim - 1)//2
+    + 2)`` with ``codim = <2 rho, lam - lam_min>`` for the lowest dominant
+    coweight ``lam_min`` below ``lam``, the largest codimension of a
+    vertex's orbit (see the module doc).  Enumerates no weights."""
+    low = rsys.lowest_dominant_weight(tr.rs, tr.lam)
+    # <2 rho, v> = 2 (v, 2 rho) / (alpha, alpha) for every root alpha.
+    gap = rsys.height_key(tr.rs, tr.lam) - rsys.height_key(tr.rs, low)
+    codim = 2 * gap // tr.rs.root_norm_sq
+    return max(2, (codim - 1) // 2 + 2)
 
 
 def estimated_cells(tr: Truncation, cap: int) -> tuple[int, int, bool]:
@@ -260,14 +281,15 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     """One full top-down pass over a truncation's moment graph, over a
     generic rank-2 subtorus (see the module docstring).
 
-    Runs degrees ``0..D - 2`` and certifies every rank against the
-    multiplicity of its weight (see the module docstring), so
-    ``section_dims`` covers those degrees, over ``g``'s variables, and
-    the result carries ``g`` itself.  Raises :class:`ValueError` up
-    front for a bad extension, a graph with a zero label or two
-    proportional labels at a vertex, or a coweight that is not
-    dominant; :class:`DegreeBoundError` when some vertex's generator
-    count is not the multiplicity of its weight; and
+    Runs degrees ``0..D - 2``, searches each vertex's generators up to
+    its own bound, and certifies every rank against the multiplicity of
+    its weight (see the module docstring), so ``section_dims`` covers
+    degrees ``0..D - 2``, over ``g``'s variables, and the result carries
+    ``g`` itself.  Raises :class:`ValueError` up front for a bad
+    extension, a graph with a zero label or two proportional labels at a
+    vertex, or a coweight that is not dominant;
+    :class:`DegreeBoundError` at the first vertex whose generator count
+    is not the multiplicity of its weight; and
     :class:`RecursionOrderError` if the supplied extension strands a
     vertex with no processed upper neighbor.
     """
@@ -291,6 +313,9 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         v, a, b = bad[0]
         raise ValueError(f"proportional labels {a} and {b} at vertex {v}")
     multiplicity = weights.freudenthal_weight_table(g.lam, g.rs)
+    # The top vertex's stalk is free of rank one.
+    _certify(g.lam, 1, multiplicity, 0, D)
+    height = g.dominant_height(g.lam)
     plane = _plane_graph(g)
 
     # Sections over the processed upper set, as an S-module: gens[d] holds
@@ -334,14 +359,18 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
 
         # One pass over the degrees: in degree d the boundary values of
         # the degree-d section generators, the minimal generators of M_d
-        # and, except at the final vertex, the kernel.
+        # and, except at the final vertex, the kernel.  Generators are
+        # searched for up to the vertex's own bound only, where its rank
+        # is certified (see the module docstring); the final vertex stops
+        # there.
         final = x == order[0]
+        last = min(D - 2, max(0, (height - g.dominant_height(x) - 1) // 2))
         gen_degrees: list[int] = []
         gen_rows: list[dict] = []
         prev_staged: list[tuple[int, dict]] = []
         prev_images: dict = {}
         prev_free: set = set()
-        for d in degrees:
+        for d in range(last + 1) if final else degrees:
             table = [None] * len(slots[d])
             span = [_boundary_value(vec, table, slots[d], first) for vec in gens[d]]
 
@@ -357,12 +386,15 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
                         col = rr.add(_scaled(b, scale))
                         if col is not None:
                             staged.append((i, rr.pivot_row(col)))
-            for s in span:
-                col = rr.add(s)
-                if col is not None:
-                    gen_degrees.append(d)
-                    gen_rows.append(rr.pivot_row(col))
-                    staged.append((1, gen_rows[-1]))
+            if d <= last:
+                for s in span:
+                    col = rr.add(s)
+                    if col is not None:
+                        gen_degrees.append(d)
+                        gen_rows.append(rr.pivot_row(col))
+                        staged.append((1, gen_rows[-1]))
+            if d == last:
+                _certify(x, len(gen_degrees), multiplicity, last, D)
             prev_staged = staged
             if final:
                 continue
@@ -442,13 +474,6 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
             section_dims = tuple(dims)
             break
 
-    uncertified = sorted(v for v, prof in profiles.items() if len(prof) != multiplicity.get(v))
-    if uncertified:
-        raise DegreeBoundError(
-            f"stalk rank is not the weight multiplicity at vertices {uncertified} "
-            f"(degrees 0..{D - 2} of degree bound {D})"
-        )
-
     return ColumnResult(
         graph=g,
         degree_bound=D,
@@ -457,6 +482,17 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         profiles=MappingProxyType(profiles),
         section_dims=_lift_section_dims(section_dims, g.num_vars),
     )
+
+
+def _certify(x, rank, multiplicity, last, D):
+    """Raise :class:`DegreeBoundError` unless the stalk rank at ``x``,
+    with generators searched in degrees ``0..last``, is the multiplicity
+    of its weight."""
+    if rank != multiplicity.get(x):
+        raise DegreeBoundError(
+            f"stalk rank {rank} is not the weight multiplicity {multiplicity.get(x)} "
+            f"at vertex {x} (generators searched in degrees 0..{last}, degree bound {D})"
+        )
 
 
 def _projections(n: int):

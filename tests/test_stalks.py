@@ -358,8 +358,12 @@ def _coweight(rs, name):
 # other than (0,) of the benchmark's adjoint-columns truncations.  The
 # values were recorded from an engine that assembled each new section as
 # a full nested combination, so they check the x-first extension step
-# against an independent route.  The dims cover degrees 0..D, those of a
-# run at D + 2; stalk_ranks runs degrees 0..D - 2, a prefix of them.
+# against an independent route.  The dims cover degrees 0..D + 2 - 2 for
+# the bound D of RECORDED_BOUNDS, those of a run at D + 2; stalk_ranks
+# runs degrees 0..D - 2 of the bound listed here, a prefix of them.  The
+# 2omega1 and omega2 coweights lie outside the coroot lattice, so their
+# bound reads the codimension of their lowest dominant coweight, not of
+# zero, and is 2.
 GOLDEN_COLUMNS = {
     ("A", 3, "theta"): (4, (1, 6, 21, 55, 119), 13, {(0, 0, 0, 0): (0, 1, 2)}),
     ("A", 4, "theta"): (5, (1, 7, 28, 84, 209, 454), 21, {(0, 0, 0, 0, 0): (0, 1, 2, 3)}),
@@ -368,17 +372,35 @@ GOLDEN_COLUMNS = {
         (0, 0, 0): (0, 1, 2), (0, 1, -1): (0, 1), (1, -1, 0): (0, 1),
         (1, 0, -1): (0, 1),
     }),
-    ("A", 3, "2omega1"): (4, (1, 5, 16, 40, 85), 10, {}),
-    ("A", 4, "2omega1"): (5, (1, 6, 22, 62, 148, 313), 15, {}),
-    ("A", 4, "omega2"): (4, (1, 6, 22, 62, 147), 10, {}),
+    ("A", 3, "2omega1"): (2, (1, 5, 16, 40, 85), 10, {}),
+    ("A", 4, "2omega1"): (2, (1, 6, 22, 62, 148, 313), 15, {}),
+    ("A", 4, "omega2"): (2, (1, 6, 22, 62, 147), 10, {}),
+}
+
+
+# The degree bound each pinned column was recorded at, the
+# ``max(2, (<2 rho, lam> - 1)//2 + 2)`` of the codimension of zero: the
+# default bound on the coroot lattice, and above it for the 2omega1 and
+# omega2 coweights.  ``GOLDEN_COLUMNS``' long dims and the digests below
+# are runs at these bounds.
+RECORDED_BOUNDS = {
+    ("A", 2, "theta"): 3,
+    ("A", 2, "2theta"): 5,
+    ("A", 3, "theta"): 4,
+    ("A", 3, "2omega1"): 4,
+    ("A", 4, "theta"): 5,
+    ("A", 4, "2omega1"): 5,
+    ("A", 4, "omega2"): 4,
+    ("D", 4, "theta"): 6,
 }
 
 
 @functools.cache
 def _longer_column(t, l, name):
-    """The column run at its degree bound plus two: degrees 0..D."""
+    """The column run at its recorded degree bound plus two: degrees
+    0..D."""
     tr = _truncation(t, l, name)
-    return run_column(build_graph(tr), default_degree_bound(tr) + 2)
+    return run_column(build_graph(tr), RECORDED_BOUNDS[(t, l, name)] + 2)
 
 
 @pytest.mark.parametrize("t,l,name", sorted(GOLDEN_COLUMNS), ids=lambda x: str(x))
@@ -532,9 +554,10 @@ def _digests(run):
 @functools.cache
 def _column_digests(t, l, name):
     """Digests of one column's extension systems in the truncation's own
-    variables, on the n-variable oracle."""
+    variables, on the n-variable oracle at the recorded bound."""
     tr = _truncation(t, l, name)
-    return _digests(lambda: nvar_oracle.run_column(build_graph(tr), default_degree_bound(tr)))
+    D = RECORDED_BOUNDS[(t, l, name)]
+    return _digests(lambda: nvar_oracle.run_column(build_graph(tr), D))
 
 
 @pytest.mark.parametrize("t,l,name", sorted(EXTENSION_DIGESTS), ids=lambda x: str(x))
@@ -578,7 +601,7 @@ PLANE_DIGESTS = {
 @pytest.mark.parametrize("t,l,name", sorted(PLANE_DIGESTS), ids=lambda x: str(x))
 def test_plane_systems_digest(t, l, name, route):
     tr = _truncation(t, l, name)
-    g, D = build_graph(tr), default_degree_bound(tr)
+    g, D = build_graph(tr), RECORDED_BOUNDS[(t, l, name)]
     if route == "engine":
         systems, _ = _digests(lambda: run_column(g, D + 2))
     else:
@@ -638,8 +661,104 @@ def test_certificate_names_a_vertex_off_its_multiplicity(monkeypatch, vertex, de
 
     assert run_column(g, 3).ranks[vertex] == real(g.lam, rs)[vertex]
     monkeypatch.setattr(weights, "freudenthal_weight_table", off_by_one)
-    with pytest.raises(DegreeBoundError, match=re.escape(f"at vertices {[vertex]} ")):
+    with pytest.raises(DegreeBoundError, match=re.escape(f"at vertex {vertex} ")):
         run_column(g, 3)
+
+
+def test_certificate_catches_a_generator_above_a_vertex_bound(monkeypatch):
+    # The A2 theta origin has profile (0, 1) and its own bound 1.  With
+    # its bound forced to 0 the search misses the degree-1 generator, and
+    # only the certificate can tell.
+    rs, g = adjoint_graph("A", 2)
+    zero = rsys.zero_vec(rs)
+    assert run_column(g, 3).profiles[zero] == (0, 1)
+    real = MomentGraph.dominant_height
+    monkeypatch.setattr(
+        MomentGraph,
+        "dominant_height",
+        lambda self, v: real(self, self.lam) if v == zero else real(self, v),
+    )
+    with pytest.raises(DegreeBoundError, match=re.escape(f"at vertex {zero} ")):
+        run_column(g, 3)
+
+
+def _zero_codimension_bound(tr):
+    """The column bound read off the codimension of the zero coweight,
+    ``<2 rho, lam>``, which every pin of ``RECORDED_BOUNDS`` used."""
+    dim = sum(rsys.pairing(tr.rs, tr.lam, a) for a in tr.rs.positive_roots)
+    return max(2, (dim - 1) // 2 + 2)
+
+
+@pytest.mark.parametrize(
+    "t,l,name", [*SUBTORUS_COLUMNS, ("D", 5, "omega1")], ids=lambda x: str(x)
+)
+def test_default_bound_gives_the_profiles_of_the_zero_codimension_bound(t, l, name):
+    tr = _truncation(t, l, name)
+    col = stalk_ranks(tr)
+    old = run_column(build_graph(tr), _zero_codimension_bound(tr))
+    assert col.degree_bound <= old.degree_bound
+    assert col.profiles == old.profiles
+    assert col.ranks == old.ranks
+
+
+# No fundamental coweight of E6 is integral in its realization, so a
+# coweight outside its coroot lattice is named, with Dynkin labels
+# (0, 0, 1, 0, 0, 0).
+E6_COWEIGHT = (-1, 1, 1, 1, 1, -2, -2, 1)
+
+
+def _small_dominant_coweights(rs):
+    """Dominant coweights below ``2 theta`` and below each fundamental
+    coweight that is integral in the realization, and their doubles."""
+    tops = [tuple(2 * x for x in rs.highest_root)]
+    if rs.type_label == "E":
+        tops += [E6_COWEIGHT, tuple(2 * x for x in E6_COWEIGHT)]
+    for i in range(1, rs.rank + 1):
+        try:
+            w = rsys.fundamental_coweight(rs, i)
+        except ValueError:
+            continue
+        tops += [w, tuple(2 * x for x in w)]
+    return sorted({mu for top in tops for mu in rsys.dominant_weights_of(rs, top)})
+
+
+@pytest.mark.parametrize("t,l", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)])
+def test_default_bound_is_the_zero_codimension_bound_on_the_coroot_lattice(t, l):
+    rs = rsys.build(t, l)
+    outside = 0
+    for lam in _small_dominant_coweights(rs):
+        tr = Truncation(rs, lam)
+        low = rsys.lowest_dominant_weight(rs, lam)
+        assert rsys.is_dominant(rs, low) and rsys.dominance_leq(rs, low, lam)
+        if rsys.simple_coefficients(rs, lam) is not None:
+            assert low == rsys.zero_vec(rs)
+            assert default_degree_bound(tr) == _zero_codimension_bound(tr), lam
+        else:
+            outside += 1
+            assert low != rsys.zero_vec(rs)
+            assert default_degree_bound(tr) <= _zero_codimension_bound(tr), lam
+    assert outside
+
+
+@pytest.mark.parametrize(
+    "t,l,name", [("A", 4, "omega2"), ("A", 3, "2omega1"), ("A", 4, "2omega1"), ("D", 5, "omega1")]
+)
+def test_default_bound_outside_the_coroot_lattice(t, l, name):
+    tr = _truncation(t, l, name)
+    assert default_degree_bound(tr) == 2 < _zero_codimension_bound(tr)
+
+
+def test_default_bound_enumerates_no_weights(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated weights")
+
+    monkeypatch.setattr(rsys, "dominant_weights_of", refuse)
+    monkeypatch.setattr(rsys, "iter_dominant_weights", refuse)
+    monkeypatch.setattr(rsys, "iter_weights", refuse)
+    for t, l, scale, bound in [("A", 8, 100, 801), ("A", 1, 1000, 1001), ("E", 8, 1, 30)]:
+        rs = rsys.build(t, l)
+        tr = Truncation(rs, tuple(scale * x for x in rs.highest_root))
+        assert default_degree_bound(tr) == _zero_codimension_bound(tr) == bound
 
 
 def test_graph_with_a_coweight_that_is_not_dominant_is_refused_up_front(monkeypatch):

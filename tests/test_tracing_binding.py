@@ -7,11 +7,15 @@ The A2 adjoint column's work counts pin the engine's current
 elimination work; a change that alters that work updates them.
 
 ``stalk_ranks`` makes one ``run_column`` call, which runs the recursion
-over a rank-2 subtorus in degrees 0..D - 2 and certifies every rank
-against one Freudenthal weight table: 40 rows added, 30 independent, 10
-nullspace calls and 39 nullspace cells.  Running degrees 0..D and
-checking that D - 1 and D held no generator took 103 rows added, 77
-independent, 20 nullspace calls and 110 nullspace cells.  The
+over a rank-2 subtorus in degrees 0..D - 2, inserts a vertex's projected
+section generators into its generator search only up to the vertex's
+own bound, and certifies every rank against one Freudenthal weight
+table: 33 rows added, 30 independent, 10 nullspace calls and 39
+nullspace cells.  Inserting them in every degree up to D - 2 added 40
+rows: the 7 more are section generators above their vertex's bound,
+which reduced to zero.  Running degrees 0..D and checking that D - 1
+and D held no generator took 103 rows added, 77 independent, 20
+nullspace calls and 110 nullspace cells.  The
 two-variable engine, with one boundary slot per (upward edge, neighbor
 generator) and ``x`` and ``y`` acting as per-edge integers, runs the
 very systems the ``n``-variable engine (now ``tests/nvar_oracle.py``)
@@ -57,7 +61,7 @@ gk.stalk_ranks(gk.Truncation(rs, rs.highest_root))
 counts = {k: v for k, (v, unit) in tracer.snapshot().items() if unit == "count"}
 # Each eliminated row is counted once: the kernel's own nullspace and
 # rank helpers must not go through the traced IntRREF.
-assert counts["kernels.rows_added"] == 40, counts
+assert counts["kernels.rows_added"] == 33, counts
 assert counts["kernels.rows_independent"] == 30, counts
 assert counts["kernels.nullspace_calls"] == 10, counts
 assert counts["kernels.nullspace_cells"] == 39, counts
