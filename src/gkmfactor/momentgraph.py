@@ -19,9 +19,9 @@ walking root strings through a vertex index, not by testing pairs.
 Labels at the origin of an adjoint truncation come in pairs
 ``gamma + delta, gamma - delta``; without the loop direction delta they
 would be proportional and the GKM independence of incident labels would
-fail.  Independence is asserted for every constructed graph: two labels
-are proportional exactly when their primitive forms are equal, so the
-labels at a vertex are grouped by primitive form.
+fail.  Two labels are proportional exactly when their primitive forms
+are equal, so the labels at a vertex are grouped by primitive form
+(:func:`proportional_labels`).
 
 The recursion order on vertices grades each fixed point by the
 dimension of its attracting cell,
@@ -33,11 +33,15 @@ every edge is oriented by the order; the origin is the unique minimum
 of an adjoint truncation and the truncation coweight the unique
 maximum.  Stalk computations use linear extensions of this order, and
 rank invariance across extensions is part of the test suite.
+
+Every :class:`MomentGraph` is GKM: its constructor refuses a zero label,
+an edge joining equal levels and two proportional labels at a vertex, so
+graphs from :func:`build_graph` and :func:`import_graph` alike are
+checked, once.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from typing import NamedTuple
 
@@ -68,7 +72,8 @@ class Edge(NamedTuple):
 
 
 class MomentGraph:
-    """Immutable labeled graph with the recursion order; see module doc."""
+    """Immutable labeled graph with the recursion order; see module doc.
+    Raises :class:`ValueError` naming the edge or vertex that breaks GKM."""
 
     def __init__(self, rs: RootSystem, lam: Vec, vertices, edges):
         self.rs = rs
@@ -81,11 +86,18 @@ class MomentGraph:
             adj[e.u].append(k)
             adj[e.v].append(k)
         self.adjacency = adj
-        self._num_vars = rs.rank + 1
         self._level = {}
         self._height = {}
         for i, v in enumerate(self.vertices):
             self._level[i], self._height[i] = self._level_and_height(v)
+        for e in self.edges:
+            if not any(e.label) or self._level[e.u] == self._level[e.v]:
+                fault = "joins equal levels" if any(e.label) else "has a zero label"
+                raise ValueError(f"edge {self.vertices[e.u]} -- {self.vertices[e.v]} {fault}")
+        bad = proportional_labels(self.vertices, adj, [e.label for e in self.edges])
+        if bad:
+            v, a, b = bad[0]
+            raise ValueError(f"proportional labels {a} and {b} at vertex {v}")
 
     def _level_and_height(self, v: Vec):
         """The level of ``v`` and ``<2 rho, dom v>``, in one pass over the
@@ -100,24 +112,6 @@ class MomentGraph:
                 d += -p - 1
                 h -= p
         return ((1, 0) if v == self.lam else (0, d)), h
-
-    @property
-    def num_vars(self) -> int:
-        """Label coordinates: rank-many finite directions plus delta, or
-        the rows of the projection of a :meth:`_projected` graph."""
-        return self._num_vars
-
-    def _projected(self, P) -> MomentGraph:
-        """This graph with every label ``l`` replaced by ``P l``, over
-        ``len(P)`` variables.  Vertices, adjacency and levels are shared
-        with this graph, which is left as it is."""
-        g = copy.copy(self)
-        g.edges = tuple(
-            Edge(e.u, e.v, tuple(sum(p * c for p, c in zip(row, e.label)) for row in P))
-            for e in self.edges
-        )
-        g._num_vars = len(P)
-        return g
 
     def level(self, v: Vec):
         return self._level[self.vindex[v]]
@@ -161,8 +155,8 @@ class MomentGraph:
 def build_graph(tr: Truncation) -> MomentGraph:
     """Construct the moment graph of a truncation.
 
-    Vertices follow the deterministic total order; the GKM independence
-    of incident labels is asserted before returning.
+    Vertices follow the deterministic total order; the constructor checks
+    the labels (see :class:`MomentGraph`).
     """
     rs = tr.rs
     vertices = rsys.total_order_extension(tr.vertex_set(), rs)
@@ -180,35 +174,31 @@ def build_graph(tr: Truncation) -> MomentGraph:
                 nu = tuple(x + a for x, a in zip(nu, alpha))
                 n += 1
     edges.sort(key=lambda e: (e.u, e.v))
-    g = MomentGraph(rs, tr.lam, vertices, edges)
-    bad = gkm_violations(g)
-    if bad:
-        v, a, b = bad[0]
-        raise AssertionError(f"proportional labels {a} and {b} at vertex {v}")
-    for e in g.edges:
-        if g._level[e.u] == g._level[e.v]:
-            raise AssertionError(
-                f"edge {g.vertices[e.u]} -- {g.vertices[e.v]} joins equal levels; "
-                "the cell-dimension grading should orient every edge"
-            )
-    return g
+    return MomentGraph(rs, tr.lam, vertices, edges)
 
 
 def gkm_violations(g: MomentGraph) -> list:
+    """:func:`proportional_labels` of ``g``: empty, as its constructor
+    refuses any."""
+    return proportional_labels(g.vertices, g.adjacency, [e.label for e in g.edges])
+
+
+def proportional_labels(vertices, adjacency, labels) -> list:
     """Pairs of proportional labels at a common vertex (empty when GKM
-    holds), in the order of their positions around the vertex."""
-    edge_prims = [primitive_form(e.label) for e in g.edges]
+    holds), in the order of their positions around the vertex;
+    ``labels[k]``, nonzero, is the label of edge ``k``."""
+    edge_prims = [primitive_form(label) for label in labels]
     out = []
-    for i, v in enumerate(g.vertices):
-        prims = [edge_prims[k] for k in g.adjacency[i]]
+    for i, v in enumerate(vertices):
+        prims = [edge_prims[k] for k in adjacency[i]]
         if len(set(prims)) == len(prims):
             continue
-        labels = [g.edges[k].label for k in g.adjacency[i]]
+        at = [labels[k] for k in adjacency[i]]
         group: dict[tuple[int, ...], list[int]] = {}
         for b, p in enumerate(prims):
             group.setdefault(p, []).append(b)
         for a, p in enumerate(prims):
-            out.extend((v, labels[a], labels[b]) for b in group[p] if b > a)
+            out.extend((v, at[a], at[b]) for b in group[p] if b > a)
     return out
 
 

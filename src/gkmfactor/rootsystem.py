@@ -23,6 +23,7 @@ with roots, and the pairing of a coweight ``v`` against a root ``a`` is
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm
 from typing import NamedTuple
 
@@ -492,8 +493,19 @@ def lowest_dominant_weight(rs: RootSystem, lam: Vec) -> Vec:
 
 
 def fundamental_coweight(rs: RootSystem, i: int) -> Vec:
-    """The i-th fundamental coweight (1-based) when it is integral in the
-    realization; raises otherwise (e.g. D-type spinor nodes)."""
+    """The i-th fundamental coweight (1-based): an integral vector of the
+    realization with Dynkin labels ``e_i``; raises when there is none
+    (D-type spinor nodes).
+
+    It is the root-span solution wherever that is integral.  Otherwise
+    (E6 nodes 1, 3, 5 and 6) it is the smallest-norm integral vector with
+    the same pairings, ties broken lexicographically: the E_r roots are
+    orthogonal to the vectors that vanish on the first ``r - 1``
+    coordinates and have ``x_8 = x_r + ... + x_7``, on E6
+    ``(0, 0, 0, 0, 0, a, b, a + b)``.  So on E6 ``omega1*`` and
+    ``omega6`` share Dynkin labels but not the vector, as ``omega1*`` and
+    ``omega2`` do on A2.
+    """
     if not 1 <= i <= rs.rank:
         raise ValueError(f"node index {i} outside 1..{rs.rank}")
     if rs.type_label == "A":
@@ -501,14 +513,26 @@ def fundamental_coweight(rs: RootSystem, i: int) -> Vec:
     if rs.type_label == "D" and i <= rs.rank - 2:
         return tuple([1] * i + [0] * (rs.ambient_dim - i))
     # Root-span solution via the inverse Cartan matrix.
+    den = rs.cartan_denominator
     column = [row[i - 1] for row in rs.scaled_cartan_inverse]
     vec = [_dot(column, col) for col in zip(*rs.simple_roots)]
-    if any(x % rs.cartan_denominator for x in vec):
+    if not any(x % den for x in vec):
+        return tuple(x // den for x in vec)
+    head = rs.rank - 1
+    # x_8 - (x_r + ... + x_7), which alpha_1 fixes.
+    gap = vec[-1] - sum(vec[head:-1])
+    if rs.type_label != "E" or gap % den or any(x % den for x in vec[:head]):
         raise ValueError(
             f"fundamental coweight {i} of {rs.type_label}{rs.rank} is not integral "
             "in this realization"
         )
-    return tuple(x // rs.cartan_denominator for x in vec)
+    gap //= den
+    # Free coordinates all zero leave a tail of norm gap**2, and a free
+    # coordinate beyond |gap| alone exceeds it.
+    reach = range(-abs(gap), abs(gap) + 1)
+    tails = ((*free, gap + sum(free)) for free in product(reach, repeat=len(vec) - 1 - head))
+    least = min(tails, key=lambda t: (sum(x * x for x in t), t))
+    return tuple(x // den for x in vec[:head]) + least
 
 
 def dual_coweight(rs: RootSystem, v: Vec) -> Vec:

@@ -26,10 +26,10 @@ variables, not in the ``n = rank + 1`` of the labels.  Every edge label
 characters of a rank-2 subtorus ``T'`` of ``T x C*``, over
 ``S = Z[x, y]``.  When no projected label is zero and the projected
 labels at each vertex stay pairwise non-proportional
-(:func:`momentgraph.gkm_violations` of the projected graph is empty),
-``T'`` has the same fixed points and the same invariant curves as
-``T``: a ``T``-orbit of dimension two whose ``T'``-stabilizer grew would
-make two labels proportional at a fixed point in its closure.  So the
+(:func:`momentgraph.proportional_labels` finds no pair), ``T'`` has
+the same fixed points and the same invariant curves as ``T``: a
+``T``-orbit of dimension two whose ``T'``-stabilizer grew would make two
+labels proportional at a fixed point in its closure.  So the
 canonical sheaf of the projected graph gives the ``T'``-equivariant
 stalks, with the same graded ranks (Goresky-Kottwitz-MacPherson,
 *Equivariant cohomology, Koszul duality, and the localization theorem*,
@@ -38,10 +38,9 @@ quotient ``Z[x, y]/(P l)`` has one monomial per degree, where the
 quotient by ``l`` in ``n`` variables has ``C(d + n - 2, n - 2)``.
 ``P`` is a pure function of the graph: none when ``n`` is already two,
 and otherwise the first ``P`` that passes both checks among those drawn
-from ``random.Random(1)``, entries in ``[-50, 50]``, row by row.  No
-``P`` passes for a graph with a zero label or with two proportional
-labels at a vertex, and :func:`run_column` refuses such a graph up
-front.  The result carries the graph as given, with ``section_dims``
+from ``random.Random(1)``, entries in ``[-50, 50]``, row by row
+(:func:`_plane_labels`); one passes, as every :class:`MomentGraph` is
+GKM.  The result carries the graph as given, with ``section_dims``
 lifted back to its ``n`` variables: the sections over ``Z[x, y]`` are
 read as a free module with ``b_k = h'(k) - 2 h'(k - 1) + h'(k - 2)``
 generators in degree ``k``, and ``h(d) = sum_k b_k C(d - k + n - 1,
@@ -179,7 +178,7 @@ from typing import NamedTuple
 
 from . import kernels, weights
 from . import rootsystem as rsys
-from .momentgraph import MomentGraph, Truncation, build_graph, gkm_violations
+from .momentgraph import MomentGraph, Truncation, build_graph, proportional_labels
 from .poly import reducer_for
 from .rootsystem import Vec
 
@@ -285,9 +284,9 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     its own bound, and certifies every rank against the multiplicity of
     its weight (see the module docstring), so ``section_dims`` covers
     degrees ``0..D - 2``, over ``g``'s variables, and the result carries
-    ``g`` itself.  Raises :class:`ValueError` up front for a bad
-    extension, a graph with a zero label or two proportional labels at a
-    vertex, or a coweight that is not dominant;
+    ``g`` itself; its labels were checked when ``g`` was made (see
+    :class:`MomentGraph`).  Raises :class:`ValueError` up front for a bad
+    extension or a coweight that is not dominant;
     :class:`DegreeBoundError` at the first vertex whose generator count
     is not the multiplicity of its weight; and
     :class:`RecursionOrderError` if the supplied extension strands a
@@ -303,20 +302,11 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     levels = [g.level(v) for v in order]
     if any(a > b for a, b in zip(levels, levels[1:])):
         raise ValueError("extension must not invert the graph order's levels")
-    for e in g.edges:
-        if not any(e.label):
-            raise ValueError(
-                f"edge {g.vertices[e.u]} -- {g.vertices[e.v]} has a zero label"
-            )
-    bad = gkm_violations(g)
-    if bad:
-        v, a, b = bad[0]
-        raise ValueError(f"proportional labels {a} and {b} at vertex {v}")
     multiplicity = weights.freudenthal_weight_table(g.lam, g.rs)
     # The top vertex's stalk is free of rank one.
     _certify(g.lam, 1, multiplicity, 0, D)
     height = g.dominant_height(g.lam)
-    plane = _plane_graph(g)
+    labels = _plane_labels(g)
 
     # Sections over the processed upper set, as an S-module: gens[d] holds
     # the degree-d generators, flat rows {slot: int} over the section slots
@@ -335,7 +325,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     section_dims: tuple[int, ...] = ()
 
     for x in reversed(order[:-1]):
-        xi = plane.vindex[x]
+        xi = g.vindex[x]
         # The boundary slots (see the module docstring): first[y] is the
         # edge's images (s_x, s_y) of x and y and the slot of the upward
         # neighbor's generator 0, and xs[slot] and ys[slot] are the
@@ -343,11 +333,11 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         first: dict = {}
         xs: list[int] = []
         ys: list[int] = []
-        for k in sorted(plane.adjacency[xi]):
-            e = plane.edges[k]
-            y = plane.vertices[e.v if e.u == xi else e.u]
+        for k in sorted(g.adjacency[xi]):
+            e = g.edges[k]
+            y = g.vertices[e.v if e.u == xi else e.u]
             if y in profiles:
-                sx, sy = reducer_for(e.label)
+                sx, sy = reducer_for(labels[k])
                 first[y] = (sx, sy, len(xs))
                 xs.extend([sx] * len(profiles[y]))
                 ys.extend([sy] * len(profiles[y]))
@@ -480,7 +470,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
         order=tuple(order),
         ranks=MappingProxyType({v: len(prof) for v, prof in profiles.items()}),
         profiles=MappingProxyType(profiles),
-        section_dims=_lift_section_dims(section_dims, g.num_vars),
+        section_dims=_lift_section_dims(section_dims, g.rs.rank + 1),
     )
 
 
@@ -502,13 +492,20 @@ def _projections(n: int):
         yield [[rng.randint(-50, 50) for _ in range(n)] for _ in range(2)]
 
 
-def _plane_graph(g: MomentGraph) -> MomentGraph:
-    """``g`` over a generic rank-2 subtorus (see the module docstring)."""
-    if g.num_vars == 2:
-        return g
-    projected = (g._projected(P) for P in _projections(g.num_vars))
+def _plane_labels(g: MomentGraph) -> list[tuple[int, ...]]:
+    """The label of each edge of ``g`` over a generic rank-2 subtorus, by
+    edge index (see the module docstring)."""
+    labels = [e.label for e in g.edges]
+    n = g.rs.rank + 1
+    if n == 2:
+        return labels
+    projected = (
+        [tuple(sum(p * c for p, c in zip(row, l)) for row in P) for l in labels]
+        for P in _projections(n)
+    )
     return next(
-        h for h in projected if all(any(e.label) for e in h.edges) and not gkm_violations(h)
+        h for h in projected
+        if all(any(l) for l in h) and not proportional_labels(g.vertices, g.adjacency, h)
     )
 
 

@@ -43,14 +43,11 @@ def weight_pairs(lam: Vec, mu: Vec, rs: RootSystem, nu: Vec) -> tuple:
 def _incident_labels(g: MomentGraph) -> dict:
     """Per vertex, the labels of its edges, whose formal product is the
     vertex's Euler factor (the finite GKM surrogate for the tangent
-    Euler class)."""
-    out = {}
-    for i, v in enumerate(g.vertices):
-        labels = tuple(g.edges[k].label for k in g.adjacency[i])
-        if not all(any(l) for l in labels):
-            raise AssertionError("zero label cannot enter an Euler factor")
-        out[v] = labels
-    return out
+    Euler class); none is zero (see :class:`MomentGraph`)."""
+    return {
+        v: tuple(g.edges[k].label for k in g.adjacency[i])
+        for i, v in enumerate(g.vertices)
+    }
 
 
 class CheckResult(NamedTuple):

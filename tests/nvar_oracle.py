@@ -24,8 +24,8 @@ two variables it is ``gkmfactor.poly.reducer_for``'s closed form, which
 :func:`run_column` works in its graph's variables and projects nothing,
 so ``run_column(build_graph(tr), D)`` is the ``n``-variable route the
 two-variable engine is compared against, and
-``run_column(stalks._plane_graph(build_graph(tr)), D)`` runs the same
-systems as the two-variable engine on that truncation.  It runs degrees
+``run_column(plane_graph(build_graph(tr)), D)`` runs the same systems as
+the two-variable engine on that truncation.  It runs degrees
 ``0..D`` and checks that ``D - 1`` and ``D`` hold no generator, where
 the engine runs ``0..D - 2`` and certifies its ranks against the weight
 multiplicities, so it matches the engine run at ``D + 2``.
@@ -36,11 +36,25 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from gkmfactor import kernels
-from gkmfactor.momentgraph import MomentGraph
+from gkmfactor import kernels, stalks
+from gkmfactor.momentgraph import Edge, MomentGraph
 from gkmfactor.poly import poly_mul
 from gkmfactor.rootsystem import Vec
 from gkmfactor.stalks import ColumnResult, DegreeBoundError, RecursionOrderError
+
+
+def plane_graph(g: MomentGraph) -> MomentGraph:
+    """``g`` with the two-variable labels ``stalks.run_column`` runs on,
+    made through the constructor, which checks them too."""
+    labels = stalks._plane_labels(g)
+    edges = [Edge(e.u, e.v, label) for e, label in zip(g.edges, labels)]
+    return MomentGraph(g.rs, g.lam, g.vertices, edges)
+
+
+def label_vars(g: MomentGraph) -> int:
+    """The number of variables of ``g``'s labels: ``rank + 1``, or two
+    for a :func:`plane_graph`."""
+    return len(g.edges[0].label) if g.edges else g.rs.rank + 1
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +257,7 @@ def run_column(g: MomentGraph, D: int, extension=None) -> ColumnResult:
     :class:`RecursionOrderError` if the supplied extension strands a
     vertex with no processed upper neighbor.
     """
-    n = g.num_vars
+    n = label_vars(g)
     order = list(extension) if extension is not None else g.linear_extension()
     if sorted(order) != sorted(g.vertices):
         raise ValueError("extension must enumerate the graph's vertices")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from gkmfactor import kernels
 from gkmfactor.momentgraph import MomentGraph
 from gkmfactor.rootsystem import Vec
-from nvar_oracle import _Layout, monomials, reduced_monomials, reducer_for
+from nvar_oracle import _Layout, label_vars, monomials, reduced_monomials, reducer_for
 
 
 def reduce_poly(red, p: dict) -> dict:
@@ -56,7 +56,7 @@ class GradedSectionSpace:
 
     def verify_congruences(self) -> bool:
         """Re-check every basis element against every internal edge."""
-        n = self.graph.num_vars
+        n = label_vars(self.graph)
         for d in range(self.degree_bound + 1):
             layout = self.layouts[d]
             for vec in self.bases[d]:
@@ -101,7 +101,7 @@ def section_space(g: MomentGraph, upper, stalks: dict, D: int) -> GradedSectionS
                 raise ValueError(f"upper set is not upward closed: missing {w}")
         if v not in stalks:
             raise ValueError(f"vertex {v} has no assigned stalk")
-    n = g.num_vars
+    n = label_vars(g)
     layouts = []
     bases = []
     internal = []

@@ -321,6 +321,18 @@ def test_e_vector_off_the_coweight_lattice_refused(argv, capsys):
     )
 
 
+def test_stalks_of_e6_omega1():
+    # E6 omega1 is off the root span (see rootsystem.fundamental_coweight):
+    # a minuscule coweight, so 27 vertices of rank 1 at degree bound 2.
+    code, out = capture(["stalks", "--type", "E", "--rank", "6", "--coweight", "omega1", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["coweight"] == [0, 0, 0, 0, 0, -2, -1, 1]
+    assert payload["degree_bound"] == 2
+    assert len(payload["stalks"]) == 27
+    assert all(s["rank"] == 1 and s["generator_degrees"] == [0] for s in payload["stalks"])
+
+
 @pytest.mark.parametrize("argv,estimate", [
     (["stalks", "--type", "A", "--rank", "12", "--coweight", "6," + "0," * 11 + "-6"],
      "estimated at least 33681169130918400 coefficient cells at degree bound 73"),

@@ -15,6 +15,7 @@ from gkmfactor.momentgraph import (
     export_graph,
     gkm_violations,
     import_graph,
+    proportional_labels,
 )
 from gkmfactor.poly import primitive_form
 from gkmfactor.weights import freudenthal_weight_table
@@ -211,8 +212,8 @@ def test_gkm_violations_order():
     labels = [(1, 1, 0), (0, 1, 1), (2, 2, 0), (0, -1, -1), (-1, -1, 0)]
     edges = [Edge(0, j, l) for j, l in enumerate(labels, 1)]
     edges += [Edge(1, 2, (1, 0, 0)), Edge(1, 3, (-2, 0, 0))]
-    g = MomentGraph(rs, rs.highest_root, vs, edges)
-    assert gkm_violations(g) == [
+    adjacency = {i: [k for k, e in enumerate(edges) if i in (e.u, e.v)] for i in range(6)}
+    assert proportional_labels(vs, adjacency, [e.label for e in edges]) == [
         (vs[0], (1, 1, 0), (2, 2, 0)),
         (vs[0], (1, 1, 0), (-1, -1, 0)),
         (vs[0], (0, 1, 1), (0, -1, -1)),

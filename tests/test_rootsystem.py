@@ -281,6 +281,54 @@ def test_fundamental_coweights():
         rsys.fundamental_coweight(d4, 4)  # spinor node is not integral here
 
 
+FUNDAMENTAL_SYSTEMS = (
+    [("A", l) for l in range(1, 9)] + [("D", l) for l in range(4, 9)] + [("E", l) for l in (6, 7, 8)]
+)
+
+
+@pytest.mark.parametrize("t,l", FUNDAMENTAL_SYSTEMS)
+def test_every_fundamental_coweight_pairs_to_its_node(t, l):
+    rs = rsys.build(t, l)
+    for i in range(1, l + 1):
+        try:
+            w = rsys.fundamental_coweight(rs, i)
+        except ValueError:
+            assert t == "D" and i >= l - 1, (t, l, i)  # spinor nodes only
+            continue
+        assert [rsys.pairing(rs, w, a) for a in rs.simple_roots] == [
+            1 if j == i else 0 for j in range(1, l + 1)
+        ]
+
+
+E6_OFF_THE_ROOT_SPAN = {
+    1: (0, 0, 0, 0, 0, -2, -1, 1),
+    3: (-1, 1, 1, 1, 1, -2, -2, 1),
+    5: (0, 0, 0, 2, 2, -2, -1, 1),
+    6: (0, 0, 0, 0, 2, -1, -1, 0),
+}
+
+
+@pytest.mark.parametrize("i", sorted(E6_OFF_THE_ROOT_SPAN))
+def test_e6_fundamental_coweight_off_the_root_span_is_the_least_integral_one(i):
+    # The E6 roots are orthogonal to (0, 0, 0, 0, 0, a, b, a + b): every
+    # vector with these pairings is w plus one of those, and w is the
+    # least in norm, then lexicographically, of the integral ones.
+    rs = rsys.build("E", 6)
+    w = rsys.fundamental_coweight(rs, i)
+    assert w == E6_OFF_THE_ROOT_SPAN[i]
+    shifted = [
+        w[:5] + (w[5] + a, w[6] + b, w[7] + a + b) for a in range(-6, 7) for b in range(-6, 7)
+    ]
+    assert min(shifted, key=lambda v: (sum(x * x for x in v), v)) == w
+
+
+def test_e6_omega1_dual_shares_omega6_labels_not_its_vector():
+    rs = rsys.build("E", 6)
+    dual, w6 = rsys.resolve_coweight(rs, "omega1*"), rsys.fundamental_coweight(rs, 6)
+    assert dual != w6
+    assert [rsys.pairing(rs, dual, a) for a in rs.simple_roots] == [0, 0, 0, 0, 0, 1]
+
+
 def test_resolve_coweight_names():
     rs = rsys.build("A", 2)
     assert rsys.resolve_coweight(rs, "zero") == (0, 0, 0)

@@ -8,6 +8,7 @@ not just at the worked values.
 
 import functools
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -22,8 +23,8 @@ from gkmfactor.momentgraph import (
     Truncation,
     build_graph,
     export_graph,
-    gkm_violations,
     import_graph,
+    proportional_labels,
 )
 from gkmfactor.stalks import (
     DegreeBoundError,
@@ -573,7 +574,7 @@ def test_extension_kernels_digest(t, l, name):
 # The extension digest of ``EXTENSION_DIGESTS`` over the two-variable
 # systems: the five columns above and the benchmark's six adjoint-columns
 # truncations.  Recorded from the n-variable engine on the projected
-# graph, ``run_column(stalks._plane_graph(build_graph(tr)), D)``, before
+# graph, ``run_column(plane_graph(build_graph(tr)), D)``, before
 # the engine was specialized to two variables, so the two-variable
 # engine must build and solve the very systems the n-variable one
 # builds over the same subtorus; the oracle is held to them too.  The
@@ -605,7 +606,7 @@ def test_plane_systems_digest(t, l, name, route):
     if route == "engine":
         systems, _ = _digests(lambda: run_column(g, D + 2))
     else:
-        systems, _ = _digests(lambda: nvar_oracle.run_column(stalks._plane_graph(g), D))
+        systems, _ = _digests(lambda: nvar_oracle.run_column(nvar_oracle.plane_graph(g), D))
     assert systems == PLANE_DIGESTS[(t, l, name)]
 
 
@@ -627,7 +628,8 @@ def test_subtorus_column_matches_the_n_variable_route(t, l, name):
     tr = Truncation(rs, _coweight(rs, name))
     col = stalk_ranks(tr)
     oracle = _n_variable_column(t, l, name)
-    assert col.graph == oracle.graph and col.graph.num_vars == rs.rank + 1
+    assert col.graph == oracle.graph
+    assert {len(e.label) for e in col.graph.edges} == {rs.rank + 1}
     assert col.order == oracle.order
     assert col.profiles == oracle.profiles
     assert col.ranks == oracle.ranks
@@ -701,18 +703,10 @@ def test_default_bound_gives_the_profiles_of_the_zero_codimension_bound(t, l, na
     assert col.ranks == old.ranks
 
 
-# No fundamental coweight of E6 is integral in its realization, so a
-# coweight outside its coroot lattice is named, with Dynkin labels
-# (0, 0, 1, 0, 0, 0).
-E6_COWEIGHT = (-1, 1, 1, 1, 1, -2, -2, 1)
-
-
 def _small_dominant_coweights(rs):
     """Dominant coweights below ``2 theta`` and below each fundamental
     coweight that is integral in the realization, and their doubles."""
     tops = [tuple(2 * x for x in rs.highest_root)]
-    if rs.type_label == "E":
-        tops += [E6_COWEIGHT, tuple(2 * x for x in E6_COWEIGHT)]
     for i in range(1, rs.rank + 1):
         try:
             w = rsys.fundamental_coweight(rs, i)
@@ -796,16 +790,21 @@ def test_subtorus_profiles_pass_the_q_certificate(t, l, scale):
 
 def _column_over(monkeypatch, tr, projections):
     """A cold stalk_ranks column whose candidate projections are
-    ``projections``; returns the column and the plane graph it ran on."""
+    ``projections``; returns the column and the plane labels it ran on."""
     planes = []
-    real = stalks._plane_graph
+    real = stalks._plane_labels
     monkeypatch.setattr(stalks, "_COLUMN_CACHE", {})
     monkeypatch.setattr(stalks, "_projections", lambda n: iter(projections))
-    monkeypatch.setattr(stalks, "_plane_graph", lambda g: planes.append(real(g)) or planes[-1])
+    monkeypatch.setattr(stalks, "_plane_labels", lambda g: planes.append(real(g)) or planes[-1])
     col = stalk_ranks(tr)
     (plane,) = planes
-    assert plane.num_vars == 2
+    assert {len(label) for label in plane} == {2}
     return col, plane
+
+
+def _projected(g, P):
+    """The labels of ``g`` times ``P``, by edge index."""
+    return [tuple(sum(p * c for p, c in zip(row, e.label)) for row in P) for e in g.edges]
 
 
 def test_two_projections_give_the_same_profiles(monkeypatch):
@@ -818,7 +817,7 @@ def test_two_projections_give_the_same_profiles(monkeypatch):
                       for _ in range(1000))
         col, plane = _column_over(monkeypatch, tr, candidates)
         cols.append(col)
-        labels.append([e.label for e in plane.edges])
+        labels.append(plane)
     assert labels[0] != labels[1]
     assert cols[0].profiles == cols[1].profiles
     assert cols[0].section_dims == cols[1].section_dims
@@ -835,53 +834,77 @@ def test_degenerate_projections_are_never_used(monkeypatch):
     proportional = [[1, 0, 0], [0, 1, 0]]
     zero = [[0, 0, 1], [0, 0, 2]]
     good = [[3, -7, 11], [-5, 2, 13]]
-    assert gkm_violations(g._projected(proportional))
-    assert any(not any(e.label) for e in g._projected(zero).edges)
-    assert not gkm_violations(g._projected(good))
+    assert proportional_labels(g.vertices, g.adjacency, _projected(g, proportional))
+    assert any(not any(label) for label in _projected(g, zero))
+    assert not proportional_labels(g.vertices, g.adjacency, _projected(g, good))
     col, plane = _column_over(monkeypatch, tr, [zero, proportional, good])
-    assert plane.edges == g._projected(good).edges
+    assert plane == _projected(g, good)
     assert col.profiles == _n_variable_column("A", 2, "theta").profiles
     with pytest.raises(StopIteration):
         _column_over(monkeypatch, tr, [zero, proportional])
 
 
-def _tampered_a2_graph(edit):
-    """The A2 adjoint graph through its JSON export, with ``edit``
-    applied to the exported edge list before the import."""
-    rs = rsys.build("A", 2)
-    payload = json.loads(export_graph(build_graph(Truncation(rs, rs.highest_root)), "json"))
-    edit(payload["edges"])
-    return import_graph(json.dumps(payload))
+def test_a1_column_draws_no_projection(monkeypatch):
+    # A1 labels already have two variables, and are used as they are.
+    tr = _truncation("A", 1, "2theta")
+    g = build_graph(tr)
+
+    def untouchable(n):
+        raise AssertionError("drew a projection")
+
+    monkeypatch.setattr(stalks, "_projections", untouchable)
+    assert stalks._plane_labels(g) == [e.label for e in g.edges]
+    col = run_column(g, default_degree_bound(tr))
+    assert col.profiles == _n_variable_column("A", 1, "2theta").profiles
 
 
-def _zero_label(edges):
+def _zero_label(g, edges):
     edges[0]["label"] = [0, 0, 0]
+    u, v = (g.vertices[edges[0][end]] for end in "uv")
+    return f"edge {u} -- {v} has a zero label"
 
 
-def _proportional_labels(edges):
+def _proportional_pair(g, edges):
     # A second edge at the first edge's lower end gets twice its label.
     u = edges[0]["u"]
     other = next(e for e in edges[1:] if u in (e["u"], e["v"]))
-    other["label"] = [2 * c for c in edges[0]["label"]]
+    label = tuple(edges[0]["label"])
+    other["label"] = [2 * c for c in label]
+    return f"proportional labels {label} and {tuple(2 * c for c in label)} at vertex {g.vertices[u]}"
+
+
+def _equal_levels(g, edges):
+    # A new edge, its label proportional to no other, between the first
+    # two vertices on one level.
+    u, v = next(
+        (u, v) for u, v in itertools.combinations(g.vertices, 2) if g.level(u) == g.level(v)
+    )
+    edges.append({"u": g.vindex[u], "v": g.vindex[v], "label": [1, 2, 5]})
+    return f"edge {u} -- {v} joins equal levels"
 
 
 @pytest.mark.parametrize(
-    "edit,message",
-    [(_zero_label, "zero label"), (_proportional_labels, "proportional labels")],
-    ids=["zero", "proportional"],
+    "edit", [_zero_label, _proportional_pair, _equal_levels],
+    ids=["zero", "proportional", "equal-levels"],
 )
-def test_graph_no_projection_can_fix_is_refused_up_front(monkeypatch, edit, message):
-    # No projection separates these labels, so the search for one would
-    # never end; run_column must refuse before projecting or eliminating.
-    g = _tampered_a2_graph(edit)
+def test_graph_no_projection_can_fix_is_refused_up_front(monkeypatch, edit):
+    # The A2 adjoint graph through its JSON export, with ``edit`` applied
+    # to the exported edges.  No projection separates a zero label or two
+    # proportional ones, so the search for one would never end; the import
+    # refuses such a graph, naming the edge or the vertex, before any
+    # projection or elimination.
+    rs = rsys.build("A", 2)
+    g = build_graph(Truncation(rs, rs.highest_root))
+    payload = json.loads(export_graph(g, "json"))
+    message = edit(g, payload["edges"])
 
     def untouchable(*args):
         raise AssertionError("reached past the label check")
 
     monkeypatch.setattr(stalks, "_projections", untouchable)
     monkeypatch.setattr(kernels, "IntRREF", untouchable)
-    with pytest.raises(ValueError, match=message):
-        run_column(g, 3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        import_graph(json.dumps(payload))
 
 
 def test_section_dims_lift_is_that_of_a_free_module():
